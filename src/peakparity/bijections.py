@@ -20,7 +20,7 @@ from .paths import (
     NotInImage,
     PeakParityClass,
     PeakParityError,
-    Step,
+    _arch_bounds,
     classify,
     decompose,
     split_at_ground_downs,
@@ -74,7 +74,7 @@ def _require_class(p: DyckPath, *expected: PeakParityClass) -> PeakParityClass:
 
 def rest(m: MotzkinPath) -> MotzkinPath:
     """Drop the leading flat step of a Motzkin path."""
-    if not m.steps or m.steps[0] is not Step.FLAT:
+    if not m.steps.startswith("F"):
         raise FirstStepNotFlat()
     return MotzkinPath(m.steps[1:])
 
@@ -87,11 +87,10 @@ def phi_a(p: DyckPath) -> MotzkinPath:
     all-even, so the recursion alternates.
     """
     _require_class(p, PeakParityClass.ALL_ODD)
-    out: list[Step] = []
+    out: list[str] = []
     for interior in decompose(p):
-        out.append(Step.FLAT)
-        out.extend(phi_b(interior).steps)
-    return MotzkinPath(tuple(out))
+        out.append("F" + phi_b(interior).steps)
+    return MotzkinPath("".join(out))
 
 
 def phi_b(p: DyckPath) -> MotzkinPath:
@@ -102,35 +101,29 @@ def phi_b(p: DyckPath) -> MotzkinPath:
     all-even path is nonempty and all-odd, so the leading flat exists.
     """
     _require_class(p, PeakParityClass.ALL_EVEN)
-    out: list[Step] = []
+    out: list[str] = []
     for interior in decompose(p):
-        out.append(Step.UP)
-        out.extend(rest(phi_a(interior)).steps)
-        out.append(Step.DOWN)
-    return MotzkinPath(tuple(out))
+        out.append("U" + rest(phi_a(interior)).steps + "D")
+    return MotzkinPath("".join(out))
 
 
 def psi_a(m: MotzkinPath) -> DyckPath:
     """Invert phi_a.  Accepts exactly the Motzkin paths starting with a flat."""
     if not m.steps:
         raise NotInImage("the empty path is not in the image of phi_a")
-    out: list[Step] = []
+    out: list[str] = []
     for segment in split_at_ground_flats(m):
-        out.append(Step.UP)
-        out.extend(psi_b(MotzkinPath(segment.steps[1:])).steps)
-        out.append(Step.DOWN)
-    return DyckPath(tuple(out))
+        out.append("U" + psi_b(MotzkinPath(segment.steps[1:])).steps + "D")
+    return DyckPath("".join(out))
 
 
 def psi_b(m: MotzkinPath) -> DyckPath:
     """Invert phi_b.  Accepts exactly the Motzkin paths with no ground flat."""
-    out: list[Step] = []
+    out: list[str] = []
     for arch in split_at_ground_downs(m):
-        inner = MotzkinPath((Step.FLAT,) + arch.steps[1:-1])
-        out.append(Step.UP)
-        out.extend(psi_a(inner).steps)
-        out.append(Step.DOWN)
-    return DyckPath(tuple(out))
+        inner = MotzkinPath("F" + arch.steps[1:-1])
+        out.append("U" + psi_a(inner).steps + "D")
+    return DyckPath("".join(out))
 
 
 def _explicit(p: DyckPath) -> MotzkinPath:
@@ -163,41 +156,25 @@ def explicit_b(p: DyckPath) -> MotzkinPath:
     return _explicit(p)
 
 
-_PAIR_IMAGE = {
-    (Step.UP, Step.UP): Step.UP,
-    (Step.DOWN, Step.UP): Step.FLAT,
-    (Step.DOWN, Step.DOWN): Step.DOWN,
-}
+_PAIR_IMAGE = {"UU": "U", "DU": "F", "DD": "D"}
 
-_STEP_EXPANSION = {
-    Step.UP: (Step.UP, Step.UP),
-    Step.FLAT: (Step.DOWN, Step.UP),
-    Step.DOWN: (Step.DOWN, Step.DOWN),
-}
+_EXPAND_PAIRS = str.maketrans({"U": "UU", "F": "DU", "D": "DD"})
 
 
-def _substitute_pairs(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+def _substitute_pairs(text: str) -> str:
     # even length is the caller's responsibility
     out = []
-    for k in range(0, len(steps), 2):
-        pair = (steps[k], steps[k + 1])
-        image = _PAIR_IMAGE.get(pair)
+    for k in range(0, len(text), 2):
+        image = _PAIR_IMAGE.get(text[k : k + 2])
         if image is None:
             raise UnexpectedUDPair(k // 2)
         out.append(image)
-    return tuple(out)
+    return "".join(out)
 
 
-def _expand_pairs(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    out = []
-    for step in steps:
-        out.extend(_STEP_EXPANSION[step])
-    return tuple(out)
-
-
-def _expanded_dyck(steps: tuple[Step, ...]) -> DyckPath:
+def _expanded_dyck(text: str) -> DyckPath:
     try:
-        return DyckPath(steps)
+        return DyckPath(text)
     except PeakParityError as exc:
         raise InvalidExpansion(f"expanded steps are not a Dyck path: {exc}") from exc
 
@@ -210,7 +187,7 @@ def tirrell_a(p: DyckPath) -> MotzkinPath:
     never occurs here for all-odd inputs.
     """
     _require_class(p, PeakParityClass.ALL_ODD)
-    return MotzkinPath((Step.FLAT,) + _substitute_pairs(p.steps[1:-1]))
+    return MotzkinPath("F" + _substitute_pairs(p.steps[1:-1]))
 
 
 def tirrell_b(p: DyckPath) -> MotzkinPath:
@@ -221,20 +198,15 @@ def tirrell_b(p: DyckPath) -> MotzkinPath:
 
 def tirrell_a_inv(m: MotzkinPath) -> DyckPath:
     """Invert tirrell_a: expand each step and restore the dropped U and D."""
-    if not m.steps or m.steps[0] is not Step.FLAT:
+    if not m.steps.startswith("F"):
         raise NotInImage("path does not start with a ground-level flat step")
-    body = _expand_pairs(m.steps[1:])
-    return _expanded_dyck((Step.UP,) + body + (Step.DOWN,))
+    return _expanded_dyck("U" + m.steps[1:].translate(_EXPAND_PAIRS) + "D")
 
 
 def tirrell_b_inv(m: MotzkinPath) -> DyckPath:
     """Invert tirrell_b.  Rejects paths with ground-level flats."""
-    level = 0
-    for i, step in enumerate(m.steps):
-        if step is Step.FLAT and level == 0:
-            raise NotInImage(f"flat step at ground level at position {i}")
-        level += step.delta
-    return _expanded_dyck(_expand_pairs(m.steps))
+    _arch_bounds(m.steps)  # raises NotInImage at a ground-level flat
+    return _expanded_dyck(m.steps.translate(_EXPAND_PAIRS))
 
 
 class MapKind(Enum):

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit status 0 on success, 1 when an input fails validation or falls
-outside a map's domain or a verification run finds a failing check, and
-2 when the command line itself is malformed.
+Exit status 0 on success, 1 when an input fails validation, falls
+outside a map's domain or nests too deeply for a recursive map, or a
+verification run finds a failing check, and 2 when the command line
+itself is malformed.  A rejected stdin line is named by its number.
 """
 from __future__ import annotations
 
@@ -14,15 +15,7 @@ from typing import Iterator
 
 from .bijections import MapKind, apply_map
 from .enumeration import PathClass, count_table, generate
-from .paths import (
-    DyckPath,
-    PeakParityError,
-    classify,
-    parse_steps,
-    stats,
-    validate_dyck,
-    validate_motzkin,
-)
+from .paths import DyckPath, MotzkinPath, PeakParityError, classify, stats
 from .verify import format_report, run_verification
 
 _FORMATS = ("plain", "tsv", "json-lines")
@@ -131,26 +124,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_texts(path_arg: str) -> Iterator[str]:
-    if path_arg == "-":
-        for line in sys.stdin:
+def _input_texts(args: argparse.Namespace) -> Iterator[str]:
+    """The path texts to process; in stdin mode, args.line follows the line read."""
+    if args.path == "-":
+        for number, line in enumerate(sys.stdin, 1):
+            args.line = number
             yield line.rstrip("\r\n")
-    elif path_arg == "@":
+    elif args.path == "@":
         yield ""
     else:
-        yield path_arg
+        yield args.path
 
 
 def _parse_for(kind: MapKind, text: str):
-    steps = parse_steps(text)
-    return validate_dyck(steps) if kind.takes_dyck else validate_motzkin(steps)
+    return DyckPath(text) if kind.takes_dyck else MotzkinPath(text)
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     kind = MapKind(args.map_kind)
     if args.format == "tsv":
         print("input\toutput")
-    for text in _input_texts(args.path):
+    for text in _input_texts(args):
         result = apply_map(kind, _parse_for(kind, text))
         if args.format == "plain":
             print(result.render())
@@ -168,7 +162,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.format == "tsv":
         print("input\tclass")
-    for text in _input_texts(args.path):
+    for text in _input_texts(args):
         label = classify(DyckPath.from_text(text)).value
         if args.format == "plain":
             print(label)
@@ -207,7 +201,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         header += [f"input_{k}" for k in _STAT_KEYS]
         header += [f"output_{k}" for k in _STAT_KEYS]
         print("\t".join(header))
-    for text in _input_texts(args.path):
+    for text in _input_texts(args):
         path = _parse_for(kind, text)
         result = apply_map(kind, path)
         source = stats(path).as_dict()
@@ -263,10 +257,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.line = None
     try:
         return _HANDLERS[args.command](args)
-    except PeakParityError as exc:
-        print(f"peakparity: error: {exc}", file=sys.stderr)
+    except (PeakParityError, RecursionError) as exc:
+        where = "" if args.line is None else f"line {args.line}: "
+        print(f"peakparity: error: {where}{exc}", file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,6 @@ from .paths import (
     MotzkinPath,
     PeakParityClass,
     PeakParityError,
-    Step,
     classify,
     stats,
 )
@@ -48,37 +47,27 @@ class PathClass(Enum):
     MOTZKIN_NO_GROUND_FLAT = "motzkin-no-ground-flat"
 
 
-_LEX_RANK = {Step.UP: 0, Step.FLAT: 1, Step.DOWN: 2}
-
-
 def lex_key(path: Union[DyckPath, MotzkinPath]) -> tuple[int, ...]:
     """Sort key realizing the U before F before D generation order."""
-    return tuple(_LEX_RANK[s] for s in path.steps)
+    return tuple(map("UFD".index, path.steps))
 
 
-def _balanced(total: int, allow_flat: bool) -> Iterator[tuple[Step, ...]]:
-    """All nonnegative balanced step sequences of the given length, in lex order."""
-    buf: list[Step] = []
+def _balanced(total: int, allow_flat: bool) -> Iterator[str]:
+    """All nonnegative balanced step texts of the given length, in lex order."""
 
-    def extend(level: int, remaining: int) -> Iterator[tuple[Step, ...]]:
+    def extend(prefix: str, level: int, remaining: int) -> Iterator[str]:
         if remaining == 0:
             if level == 0:
-                yield tuple(buf)
+                yield prefix
             return
         if remaining - 1 >= level + 1:
-            buf.append(Step.UP)
-            yield from extend(level + 1, remaining - 1)
-            buf.pop()
+            yield from extend(prefix + "U", level + 1, remaining - 1)
         if allow_flat and remaining - 1 >= level:
-            buf.append(Step.FLAT)
-            yield from extend(level, remaining - 1)
-            buf.pop()
+            yield from extend(prefix + "F", level, remaining - 1)
         if level > 0:
-            buf.append(Step.DOWN)
-            yield from extend(level - 1, remaining - 1)
-            buf.pop()
+            yield from extend(prefix + "D", level - 1, remaining - 1)
 
-    return extend(0, total)
+    return extend("", 0, total)
 
 
 _DYCK_FILTER = {
@@ -99,7 +88,7 @@ def _generate_dyck(wanted: PeakParityClass | None, n: int) -> Iterator[DyckPath]
 def _generate_motzkin(path_class: PathClass, n: int) -> Iterator[MotzkinPath]:
     for steps in _balanced(n, allow_flat=True):
         if path_class is PathClass.MOTZKIN_START_FLAT:
-            if not steps or steps[0] is not Step.FLAT:
+            if not steps.startswith("F"):
                 continue
         m = MotzkinPath(steps)
         if path_class is PathClass.MOTZKIN_NO_GROUND_FLAT and stats(m).ground_flats:

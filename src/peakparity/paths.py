@@ -2,16 +2,18 @@
 
 A Dyck path is a balanced sequence of up and down steps that never dips
 below its starting level.  A Motzkin path additionally allows flat steps.
-Both are represented as immutable step tuples.  The functions here parse
-and render the one-letter text form (U, D, F), classify Dyck paths by the
-parities of their peak heights, decompose paths at returns to ground
-level, and collect the step statistics that the bijection maps preserve.
+Both hold their validated one-letter text over U, D and F in the field
+``steps``, so paths are sliced, joined and searched as plain strings.  The
+functions here classify Dyck paths by the parities of their peak heights,
+decompose paths at returns to ground level, and collect the step
+statistics that the bijection maps preserve.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import ClassVar, Union
 
 
 class PeakParityError(Exception):
@@ -55,44 +57,6 @@ class NotInImage(PeakParityError):
     """The path cannot be produced by the map whose inverse was requested."""
 
 
-class Step(Enum):
-    """One lattice step; the enum value is its text form."""
-
-    UP = "U"
-    DOWN = "D"
-    FLAT = "F"
-
-    @property
-    def delta(self) -> int:
-        """Level change contributed by this step."""
-        return _DELTAS[self]
-
-    def __repr__(self) -> str:
-        return f"Step.{self.name}"
-
-
-_DELTAS = {Step.UP: 1, Step.DOWN: -1, Step.FLAT: 0}
-
-
-def parse_steps(text: str) -> tuple[Step, ...]:
-    """Turn a string of U, D, F characters into a step tuple.
-
-    Raises InvalidCharacter at the first offending position.
-    """
-    steps = []
-    for i, ch in enumerate(text):
-        try:
-            steps.append(Step(ch))
-        except ValueError:
-            raise InvalidCharacter(i, ch) from None
-    return tuple(steps)
-
-
-def render_steps(steps: Iterable[Step]) -> str:
-    """Inverse of parse_steps."""
-    return "".join(s.value for s in steps)
-
-
 class PeakParityClass(Enum):
     """Which parities occur among a Dyck path's peak heights."""
 
@@ -101,98 +65,107 @@ class PeakParityClass(Enum):
     MIXED = "mixed"
 
 
+_NOT_A_STEP = re.compile("[^UDF]")
+
+
+def _validate(text: str, allow_flat: bool) -> None:
+    """Raise the first violation: any bad character, then steps in order, then balance."""
+    bad = _NOT_A_STEP.search(text)
+    if bad:
+        raise InvalidCharacter(bad.start(), bad.group())
+    level = 0
+    for i, ch in enumerate(text):
+        if ch == "U":
+            level += 1
+        elif ch == "D":
+            level -= 1
+            if level < 0:
+                raise BelowGround(i)
+        elif not allow_flat:
+            raise ContainsFlat(i)
+    if level != 0:
+        raise UnbalancedPath(level)
+
+
 @dataclass(frozen=True)
-class DyckPath:
-    """Balanced up/down sequence that never goes below its starting level.
+class _Path:
+    """Validated step text; instances of different subclasses never compare equal."""
+
+    steps: str = ""
+    allows_flat: ClassVar[bool]
+
+    def __post_init__(self):
+        _validate(self.steps, self.allows_flat)
+
+    @classmethod
+    def from_text(cls, text: str):
+        return cls(text)
+
+    def render(self) -> str:
+        return self.steps
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __str__(self) -> str:
+        return self.steps
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.steps!r})"
+
+
+class DyckPath(_Path):
+    """Balanced up/down text that never goes below its starting level.
 
     Validation happens at construction, so every instance in circulation
     is a well-formed path.  The empty path is allowed.
     """
 
-    steps: tuple[Step, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        level = 0
-        for i, step in enumerate(self.steps):
-            if step is Step.FLAT:
-                raise ContainsFlat(i)
-            level += step.delta
-            if level < 0:
-                raise BelowGround(i)
-        if level != 0:
-            raise UnbalancedPath(level)
-
-    @classmethod
-    def from_text(cls, text: str) -> "DyckPath":
-        return cls(parse_steps(text))
+    allows_flat = False
 
     @property
     def semilength(self) -> int:
         """Number of up steps, half the step count."""
         return len(self.steps) // 2
 
-    def render(self) -> str:
-        return render_steps(self.steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
+class MotzkinPath(_Path):
+    """Balanced up/down/flat text that never goes below its start."""
 
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"DyckPath({self.render()!r})"
-
-
-@dataclass(frozen=True)
-class MotzkinPath:
-    """Balanced up/down/flat sequence that never goes below its start."""
-
-    steps: tuple[Step, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        level = 0
-        for i, step in enumerate(self.steps):
-            level += step.delta
-            if level < 0:
-                raise BelowGround(i)
-        if level != 0:
-            raise UnbalancedPath(level)
-
-    @classmethod
-    def from_text(cls, text: str) -> "MotzkinPath":
-        return cls(parse_steps(text))
+    allows_flat = True
 
     @property
     def length(self) -> int:
         return len(self.steps)
 
-    def render(self) -> str:
-        return render_steps(self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"MotzkinPath({self.render()!r})"
-
 
 Path = Union[DyckPath, MotzkinPath]
 
 
-def validate_dyck(steps: Iterable[Step]) -> DyckPath:
-    """Construct a DyckPath, surfacing the first violation found."""
-    return DyckPath(tuple(steps))
+def _ground_points(text: str) -> list[int]:
+    """Every i in 0..len(text) such that a balanced path is at ground level after i steps."""
+    points = [0]
+    level = 0
+    for i, ch in enumerate(text, 1):
+        if ch == "U":
+            level += 1
+        elif ch == "D":
+            level -= 1
+        if level == 0:
+            points.append(i)
+    return points
 
 
-def validate_motzkin(steps: Iterable[Step]) -> MotzkinPath:
-    """Construct a MotzkinPath, surfacing the first violation found."""
-    return MotzkinPath(tuple(steps))
+def _arch_bounds(text: str) -> list[int]:
+    """Ground points of a path made of arches only.
+
+    Raises NotInImage at the first flat step taken at ground level.
+    """
+    points = _ground_points(text)
+    for g in points[:-1]:
+        if text[g] == "F":
+            raise NotInImage(f"flat step at ground level at position {g}")
+    return points
 
 
 def peaks(p: DyckPath) -> list[tuple[int, int]]:
@@ -203,15 +176,17 @@ def peaks(p: DyckPath) -> list[tuple[int, int]]:
     reports a single peak of height 0 at position -1, which makes the
     empty path classify as all-even.
     """
-    if not p.steps:
+    text = p.steps
+    if not text:
         return [(-1, 0)]
     found = []
-    level = 0
-    last = len(p.steps) - 1
-    for i, step in enumerate(p.steps):
-        level += step.delta
-        if step is Step.UP and i < last and p.steps[i + 1] is Step.DOWN:
-            found.append((i, level))
+    level = counted = 0
+    i = text.find("UD")
+    while i >= 0:
+        level += text.count("U", counted, i + 1) - text.count("D", counted, i + 1)
+        counted = i + 1
+        found.append((i, level))
+        i = text.find("UD", i + 2)
     return found
 
 
@@ -232,20 +207,13 @@ def decompose(p: DyckPath) -> tuple[DyckPath, ...]:
     where each cut is a return to ground level; the Pi are returned.  The
     empty path yields the empty tuple.
     """
-    parts = []
-    level = 0
-    start = 0
-    for i, step in enumerate(p.steps):
-        level += step.delta
-        if level == 0:
-            parts.append(DyckPath(p.steps[start + 1 : i]))
-            start = i + 1
-    return tuple(parts)
+    cuts = _ground_points(p.steps)
+    return tuple(DyckPath(p.steps[a + 1 : b - 1]) for a, b in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
 class PathStats:
-    """Step statistics preserved or transported by the maps.
+    """Statistics of the steps, preserved or transported by the maps.
 
     peaks counts literal up-down factors, so the empty path has 0 here
     even though classify treats it through the height-0 convention.
@@ -284,29 +252,25 @@ class PathStats:
 
 
 def stats(path: Path) -> PathStats:
-    """One scan collecting every statistic for a Dyck or Motzkin path."""
-    steps = path.steps
-    n_peaks = returns = gflats = u = f = uu = fu = 0
-    level = 0
-    last = len(steps) - 1
-    for i, step in enumerate(steps):
-        nxt = steps[i + 1] if i < last else None
-        if step is Step.UP:
-            u += 1
-            if nxt is Step.UP:
-                uu += 1
-            elif nxt is Step.DOWN:
-                n_peaks += 1
-        elif step is Step.FLAT:
-            f += 1
-            if nxt is Step.UP:
-                fu += 1
-            if level == 0:
-                gflats += 1
-        level += step.delta
-        if step is Step.DOWN and level == 0:
-            returns += 1
-    return PathStats(n_peaks, returns, gflats, u, f, uu, fu)
+    """Every statistic for a Dyck or Motzkin path, from one level scan and counts."""
+    text = path.steps
+    grounds = _ground_points(text)
+    # each step landing on a ground point is a return or a ground flat
+    gflats = sum(text[g] == "F" for g in grounds[:-1])
+    u = text.count("U")
+    fu = text.count("FU")
+    # a U either follows a U or starts a run of U's, and a run starts at
+    # the beginning or right after a D or an F
+    uu = u - text.startswith("U") - text.count("DU") - fu
+    return PathStats(
+        peaks=text.count("UD"),
+        ground_returns=len(grounds) - 1 - gflats,
+        ground_flats=gflats,
+        u_count=u,
+        f_count=text.count("F"),
+        uu_count=uu,
+        fu_count=fu,
+    )
 
 
 def split_at_ground_flats(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
@@ -316,18 +280,14 @@ def split_at_ground_flats(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
     segment begins with one.  Raises NotInImage otherwise.  The empty
     path splits into no segments.
     """
-    if not m.steps:
+    text = m.steps
+    if not text:
         return ()
-    if m.steps[0] is not Step.FLAT:
+    if text[0] != "F":
         raise NotInImage("path does not start with a ground-level flat step")
-    cuts = []
-    level = 0
-    for i, step in enumerate(m.steps):
-        if step is Step.FLAT and level == 0:
-            cuts.append(i)
-        level += step.delta
-    cuts.append(len(m.steps))
-    return tuple(MotzkinPath(m.steps[a:b]) for a, b in zip(cuts, cuts[1:]))
+    cuts = [g for g in _ground_points(text)[:-1] if text[g] == "F"]
+    cuts.append(len(text))
+    return tuple(MotzkinPath(text[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def split_at_ground_downs(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
@@ -336,14 +296,5 @@ def split_at_ground_downs(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
     Defined on paths with no ground-level flat step; each segment is then
     a single arch.  Raises NotInImage if a ground-level flat is present.
     """
-    segments = []
-    level = 0
-    start = 0
-    for i, step in enumerate(m.steps):
-        if step is Step.FLAT and level == 0:
-            raise NotInImage(f"flat step at ground level at position {i}")
-        level += step.delta
-        if step is Step.DOWN and level == 0:
-            segments.append(MotzkinPath(m.steps[start : i + 1]))
-            start = i + 1
-    return tuple(segments)
+    cuts = _arch_bounds(m.steps)
+    return tuple(MotzkinPath(m.steps[a:b]) for a, b in zip(cuts, cuts[1:]))

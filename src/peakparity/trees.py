@@ -8,7 +8,9 @@ lower endpoint down to any leaf below it).  Odd-parity edges are colored
 blue, the leftmost child edge of each blue edge is colored red, and the
 rest are black.  After red edges are relocated, reading the tree in
 preorder and emitting U for blue, D for red, F for black produces the
-same Motzkin path as the recursive maps.
+same Motzkin path as the recursive maps.  Paths enter and leave as text:
+the tree is built from the path's U and D letters, and the walk is the
+B/R/K coloring letters translated to U, D and F.
 
 Edges are identified with their lower endpoint and addressed by the
 tuple of child indices leading from the root to that endpoint.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .paths import DyckPath, MotzkinPath, PeakParityError, Step
+from .paths import DyckPath, MotzkinPath, PeakParityError
 
 Edge = tuple[int, ...]
 
@@ -175,7 +177,7 @@ def glove_to_tree(p: DyckPath) -> OrderedTree:
     """Tree whose traversal spells the given Dyck path."""
     stack: list[list[OrderedTree]] = [[]]
     for step in p.steps:
-        if step is Step.UP:
+        if step == "U":
             stack.append([])
         else:
             children = stack.pop()
@@ -185,16 +187,16 @@ def glove_to_tree(p: DyckPath) -> OrderedTree:
 
 def glove_to_dyck(t: OrderedTree) -> DyckPath:
     """Dyck path spelled by traversing the tree, inverse of glove_to_tree."""
-    steps: list[Step] = []
+    steps: list[str] = []
 
     def walk(node: OrderedTree) -> None:
         for child in node.children:
-            steps.append(Step.UP)
+            steps.append("U")
             walk(child)
-            steps.append(Step.DOWN)
+            steps.append("D")
 
     walk(t)
-    return DyckPath(tuple(steps))
+    return DyckPath("".join(steps))
 
 
 def _leaf_parities(node: OrderedTree) -> set[int]:
@@ -297,11 +299,7 @@ def relocate_reds(
     return new_tree, EdgeColoring(new_colors)
 
 
-_STEP_FOR_COLOR = {
-    EdgeColor.BLUE: Step.UP,
-    EdgeColor.RED: Step.DOWN,
-    EdgeColor.BLACK: Step.FLAT,
-}
+_STEP_FOR_LETTER = str.maketrans("BRK", "UDF")
 
 
 def walk_to_motzkin(t: OrderedTree, coloring: EdgeColoring) -> MotzkinPath:
@@ -311,8 +309,7 @@ def walk_to_motzkin(t: OrderedTree, coloring: EdgeColoring) -> MotzkinPath:
     InvalidMotzkinOutput if the resulting step sequence is not a Motzkin
     path, which signals an inconsistent tree and coloring pair.
     """
-    _check_total(t, coloring)
-    steps = tuple(_STEP_FOR_COLOR[coloring[e]] for e in t.edges())
+    steps = coloring_to_letters(t, coloring).translate(_STEP_FOR_LETTER)
     try:
         return MotzkinPath(steps)
     except PeakParityError as exc:

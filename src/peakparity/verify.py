@@ -23,7 +23,6 @@ from .paths import (
     DyckPath,
     MotzkinPath,
     PeakParityClass,
-    Step,
     classify,
     decompose,
     peaks,
@@ -136,12 +135,8 @@ def _scan_dyck(n: int, rec: _Recorder) -> tuple[list[DyckPath], list[DyckPath]]:
         prev = key
         rec.expect("parse-render-roundtrip", DyckPath.from_text(p.render()) == p, n, p)
         comps = decompose(p)
-        rebuilt: list[Step] = []
-        for c in comps:
-            rebuilt.append(Step.UP)
-            rebuilt.extend(c.steps)
-            rebuilt.append(Step.DOWN)
-        rec.expect("decompose-rebuild", tuple(rebuilt) == p.steps, n, p)
+        rebuilt = "".join("U" + c.steps + "D" for c in comps)
+        rec.expect("decompose-rebuild", rebuilt == p.steps, n, p)
         rec.expect(
             "ground-returns-vs-components",
             stats(p).ground_returns == len(comps),
@@ -225,7 +220,7 @@ def _scan_motzkin(
                 n,
                 m,
             )
-            joined = sum((seg.steps for seg in split_at_ground_flats(m)), ())
+            joined = "".join(seg.steps for seg in split_at_ground_flats(m))
             rec.expect("split-concat", joined == m.steps, n, m)
             rec.ok("no-unexpected-errors")
         except Exception as exc:
@@ -239,7 +234,7 @@ def _scan_motzkin(
                 n,
                 m,
             )
-            joined = sum((seg.steps for seg in split_at_ground_downs(m)), ())
+            joined = "".join(seg.steps for seg in split_at_ground_downs(m))
             rec.expect("split-concat", joined == m.steps, n, m)
             rec.ok("no-unexpected-errors")
         except Exception as exc:
@@ -293,10 +288,7 @@ def _scan_parity_class(
             st = stats(p)
             rec.expect("stat-transfer-ground", st.ground_returns == ground_image, n, p)
             rec.expect("stat-transfer-peaks", st.peaks == stats(m1).peak_image, n, p)
-            clean = all(
-                not (body[k] is Step.UP and body[k + 1] is Step.DOWN)
-                for k in range(0, len(body) - 1, 2)
-            )
+            clean = all(body[k : k + 2] != "UD" for k in range(0, len(body) - 1, 2))
             rec.expect("no-ud-pairs", clean, n, p)
             t = glove_to_tree(p)
             coloring = color_edges(t)
@@ -306,8 +298,8 @@ def _scan_parity_class(
             blue = coloring.count(EdgeColor.BLUE)
             red = coloring.count(EdgeColor.RED)
             black = coloring.count(EdgeColor.BLACK)
-            downs = sum(1 for s in m1.steps if s is Step.DOWN)
-            flats = sum(1 for s in m1.steps if s is Step.FLAT)
+            downs = m1.steps.count("D")
+            flats = m1.steps.count("F")
             rec.expect(
                 "coloring-counts", blue == red == downs and black == flats, n, p
             )

@@ -7,7 +7,6 @@ from peakparity import (
     DyckPath,
     MotzkinPath,
     PathClass,
-    Step,
     generate,
 )
 
@@ -34,12 +33,12 @@ def dyck_paths(draw, max_semilength: int = 10) -> DyckPath:
         else:
             go_up = can_up
         if go_up:
-            steps.append(Step.UP)
+            steps.append("U")
             ups_left -= 1
         else:
-            steps.append(Step.DOWN)
+            steps.append("D")
             downs_left -= 1
-    return DyckPath(tuple(steps))
+    return DyckPath("".join(steps))
 
 
 @st.composite
@@ -50,15 +49,15 @@ def motzkin_paths(draw, max_length: int = 12) -> MotzkinPath:
     for remaining in range(length, 0, -1):
         options = []
         if remaining - 1 >= level + 1:
-            options.append(Step.UP)
+            options.append("U")
         if remaining - 1 >= level:
-            options.append(Step.FLAT)
+            options.append("F")
         if level > 0:
-            options.append(Step.DOWN)
+            options.append("D")
         step = draw(st.sampled_from(options))
         steps.append(step)
-        level += step.delta
-    return MotzkinPath(tuple(steps))
+        level += {"U": 1, "F": 0, "D": -1}[step]
+    return MotzkinPath("".join(steps))
 
 
 # small pools for class-restricted strategies, built once at import

@@ -23,7 +23,6 @@ from peakparity import (
     PathClass,
     PeakParityClass,
     UnexpectedUDPair,
-    Step,
     classify,
     explicit_map,
     generate,
@@ -214,14 +213,14 @@ def test_criterion_7_no_ud_pairs(dyck_buckets):
             for p in odd[n]:
                 body = p.steps[1:-1]
                 for i in range(0, len(body), 2):
-                    assert body[i : i + 2] != (Step.UP, Step.DOWN)
+                    assert body[i : i + 2] != "UD"
         for n in range(MAX_N + 1):
             for p in even[n]:
                 for i in range(0, len(p.steps), 2):
-                    assert p.steps[i : i + 2] != (Step.UP, Step.DOWN)
+                    assert p.steps[i : i + 2] != "UD"
         # the guard exists and fires only when fed a corrupted window
         with pytest.raises(UnexpectedUDPair) as exc:
-            _substitute_pairs((Step.UP, Step.DOWN))
+            _substitute_pairs("UD")
         assert exc.value.pair_index == 0
 
 

@@ -20,7 +20,6 @@ from peakparity import (
     NotInImage,
     PathClass,
     PeakParityClass,
-    Step,
     UnexpectedUDPair,
     WrongParityClass,
     apply_map,
@@ -93,14 +92,14 @@ class TestRecursiveMaps:
     @pytest.mark.parametrize("semilength", [64, 128, 200])
     def test_deep_even_chain(self, semilength):
         # single peak at even height, maximal nesting depth
-        chain = DyckPath((Step.UP,) * semilength + (Step.DOWN,) * semilength)
+        chain = DyckPath("U" * semilength + "D" * semilength)
         image = phi_b(chain)
         assert len(image) == semilength
         assert psi_b(image) == chain
 
     @pytest.mark.parametrize("semilength", [65, 201])
     def test_deep_odd_chain(self, semilength):
-        chain = DyckPath((Step.UP,) * semilength + (Step.DOWN,) * semilength)
+        chain = DyckPath("U" * semilength + "D" * semilength)
         image = phi_a(chain)
         assert len(image) == semilength
         assert psi_a(image) == chain
@@ -222,17 +221,17 @@ class TestTirrell:
     def test_unexpected_ud_pair_on_corrupted_input(self):
         # unreachable through the public maps; exercised on raw windows
         with pytest.raises(UnexpectedUDPair) as exc:
-            _substitute_pairs((Step.UP, Step.DOWN))
+            _substitute_pairs("UD")
         assert exc.value.pair_index == 0
         with pytest.raises(UnexpectedUDPair) as exc:
-            _substitute_pairs((Step.UP, Step.UP, Step.UP, Step.DOWN))
+            _substitute_pairs("UUUD")
         assert exc.value.pair_index == 1
 
     def test_invalid_expansion_on_corrupted_steps(self):
         with pytest.raises(InvalidExpansion):
-            _expanded_dyck((Step.DOWN, Step.UP))
+            _expanded_dyck("DU")
         with pytest.raises(InvalidExpansion):
-            _expanded_dyck((Step.UP,))
+            _expanded_dyck("U")
 
     @given(odd_dyck_paths())
     def test_roundtrip_a(self, p):

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from peakparity import DyckPath, MotzkinPath, Step, cli
+from peakparity import DyckPath, MotzkinPath, cli
 from peakparity import bijections as bij
 
 
@@ -92,6 +92,14 @@ class TestConvert:
         rc, _, err = run_cli(["convert", "--map", "phi-a", "UFD"], capsys)
         assert rc == 1
         assert "flat step" in err
+
+    def test_too_deep_for_recursion_is_one_error_line(self, capsys):
+        chain = "U" * 3000 + "D" * 3000
+        rc, out, err = run_cli(["convert", "--map", "phi-b", chain], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("peakparity: error: ")
+        assert err.count("\n") == 1
 
 
 class TestClassify:
@@ -212,6 +220,47 @@ class TestStats:
         assert dict(zip(cols, values))["output_peak_image"] == "1"
 
 
+class TestInputErrors:
+    """A rejected stdin line is named by its number; a lone argument is not."""
+
+    CASES = [
+        (
+            ["convert", "--map", "phi-a", "-"],
+            "UUUDDD\nUXD\nUD\n",
+            1,
+            "line 2: invalid step character 'X' at position 1",
+        ),
+        (
+            ["classify", "-"],
+            "UD\nUUDD\nDU\n",
+            2,
+            "line 3: path drops below ground at position 0",
+        ),
+        (
+            ["stats", "--map", "phi-a", "-"],
+            "UUUDDD\nUUDD\n",
+            1,
+            "line 2: path classifies as all-even, this map needs all-odd",
+        ),
+        (
+            ["classify", "DU"],
+            "",
+            0,
+            "path drops below ground at position 0",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,stdin,done,message", CASES, ids=["convert", "classify", "stats", "arg"]
+    )
+    def test_error_names_the_line(self, argv, stdin, done, message, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1
+        assert len(out.splitlines()) == done
+        assert err == f"peakparity: error: {message}\n"
+
+
 class TestGrammarErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -269,7 +318,7 @@ def test_module_entry_point():
 def _pad_motzkin(fn):
     def bad(p):
         real = fn(p)
-        return MotzkinPath(real.steps + (Step.FLAT, Step.FLAT))
+        return MotzkinPath(real.steps + "FF")
 
     return bad
 
@@ -277,7 +326,7 @@ def _pad_motzkin(fn):
 def _prepend_flat(fn):
     def bad(p):
         real = fn(p)
-        return MotzkinPath((Step.FLAT,) + real.steps)
+        return MotzkinPath("F" + real.steps)
 
     return bad
 
@@ -285,7 +334,7 @@ def _prepend_flat(fn):
 def _reverse_motzkin(fn):
     def bad(p):
         real = fn(p)
-        return MotzkinPath(tuple(reversed(real.steps)))
+        return MotzkinPath(real.steps[::-1])
 
     return bad
 
@@ -293,7 +342,7 @@ def _reverse_motzkin(fn):
 def _wrap_dyck(fn):
     def bad(path):
         real = fn(path)
-        return DyckPath((Step.UP,) + real.steps + (Step.DOWN,))
+        return DyckPath("U" + real.steps + "D")
 
     return bad
 

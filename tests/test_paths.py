@@ -21,50 +21,42 @@ from peakparity import (
     MotzkinPath,
     NotInImage,
     PeakParityClass,
-    Step,
     UnbalancedPath,
     classify,
     decompose,
-    parse_steps,
     peaks,
-    render_steps,
     split_at_ground_downs,
     split_at_ground_flats,
     stats,
-    validate_dyck,
-    validate_motzkin,
 )
 
 
 class TestParseRender:
     def test_parse_basic(self):
-        assert parse_steps("UDF") == (Step.UP, Step.DOWN, Step.FLAT)
+        assert m("UFD").steps == "UFD"
+        assert type(d("UD").steps) is str
 
     def test_parse_empty(self):
-        assert parse_steps("") == ()
+        assert m("").steps == ""
+        assert d("") == DyckPath()
 
     def test_invalid_character_position(self):
         with pytest.raises(InvalidCharacter) as exc:
-            parse_steps("UXD")
+            m("UXD")
         assert exc.value.position == 1
         assert exc.value.char == "X"
 
     def test_lowercase_rejected(self):
         with pytest.raises(InvalidCharacter) as exc:
-            parse_steps("Uu")
+            m("Uu")
         assert exc.value.position == 1
 
     def test_render_inverse(self):
-        assert render_steps(parse_steps("UUDFD")) == "UUDFD"
+        assert m("UUDFD").render() == "UUDFD"
 
     @given(motzkin_paths())
     def test_roundtrip(self, path):
-        assert parse_steps(path.render()) == path.steps
-
-    def test_step_deltas(self):
-        assert Step.UP.delta == 1
-        assert Step.DOWN.delta == -1
-        assert Step.FLAT.delta == 0
+        assert MotzkinPath.from_text(path.render()) == path
 
 
 class TestDyckPath:
@@ -79,13 +71,9 @@ class TestDyckPath:
         assert p.semilength == 2
         assert len(p) == 4
 
-    def test_steps_normalized_to_tuple(self):
-        p = DyckPath([Step.UP, Step.DOWN])
-        assert p.steps == (Step.UP, Step.DOWN)
-
     def test_flat_rejected(self):
         with pytest.raises(ContainsFlat) as exc:
-            DyckPath(parse_steps("UDF"))
+            d("UDF")
         assert exc.value.position == 2
 
     def test_unbalanced(self):
@@ -105,7 +93,7 @@ class TestDyckPath:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            d("UD").steps = ()
+            d("UD").steps = ""
 
     def test_repr(self):
         assert repr(d("UUDD")) == "DyckPath('UUDD')"
@@ -117,14 +105,27 @@ class TestDyckPath:
     def test_hashable(self):
         assert len({d("UD"), d("UD"), d("UUDD")}) == 2
 
-    def test_validate_dyck(self):
-        assert validate_dyck((Step.UP, Step.DOWN)) == d("UD")
+    @pytest.mark.parametrize(
+        "text,error,attr,value",
+        [
+            ("DX", InvalidCharacter, "position", 1),
+            ("UFX", InvalidCharacter, "position", 2),
+            ("DUF", BelowGround, "position", 0),
+            ("UDF", ContainsFlat, "position", 2),
+            ("UUD", UnbalancedPath, "level", 1),
+        ],
+    )
+    def test_first_violation_wins(self, text, error, attr, value):
+        # every character is checked before any structure, then steps in order
+        with pytest.raises(error) as exc:
+            d(text)
+        assert getattr(exc.value, attr) == value
 
     @given(dyck_paths())
     def test_generated_paths_stay_nonnegative(self, p):
         level = 0
         for step in p.steps:
-            level += step.delta
+            level += 1 if step == "U" else -1
             assert level >= 0
         assert level == 0
         assert p.semilength * 2 == len(p)
@@ -150,12 +151,23 @@ class TestMotzkinPath:
     def test_repr(self):
         assert repr(m("UFD")) == "MotzkinPath('UFD')"
 
-    def test_validate_motzkin(self):
-        assert validate_motzkin((Step.FLAT,)) == m("F")
+    @pytest.mark.parametrize(
+        "text,error,attr,value",
+        [
+            ("DX", InvalidCharacter, "position", 1),
+            ("UFX", InvalidCharacter, "position", 2),
+            ("DUF", BelowGround, "position", 0),
+            ("UUD", UnbalancedPath, "level", 1),
+        ],
+    )
+    def test_first_violation_wins(self, text, error, attr, value):
+        with pytest.raises(error) as exc:
+            m(text)
+        assert getattr(exc.value, attr) == value
 
     @given(motzkin_paths())
     def test_generated_paths_balanced(self, path):
-        assert sum(s.delta for s in path.steps) == 0
+        assert path.steps.count("U") == path.steps.count("D")
 
 
 class TestPeaks:
@@ -235,20 +247,16 @@ class TestDecompose:
 
     @given(dyck_paths())
     def test_rebuild_identity(self, p):
-        rebuilt = []
-        for interior in decompose(p):
-            rebuilt.append(Step.UP)
-            rebuilt.extend(interior.steps)
-            rebuilt.append(Step.DOWN)
-        assert tuple(rebuilt) == p.steps
+        rebuilt = "".join("U" + interior.steps + "D" for interior in decompose(p))
+        assert rebuilt == p.steps
 
     @given(dyck_paths())
     def test_component_count_is_ground_returns(self, p):
         level = 0
         returns = 0
         for step in p.steps:
-            level += step.delta
-            if level == 0 and step is Step.DOWN:
+            level += 1 if step == "U" else -1
+            if level == 0 and step == "D":
                 returns += 1
         assert len(decompose(p)) == returns
 
@@ -362,16 +370,16 @@ class TestSplits:
 
     @given(motzkin_paths())
     def test_flat_split_concat_identity(self, path):
-        prefixed = MotzkinPath((Step.FLAT,) + path.steps)
+        prefixed = MotzkinPath("F" + path.steps)
         segments = split_at_ground_flats(prefixed)
-        assert sum((s.steps for s in segments), ()) == prefixed.steps
-        assert all(s.steps[0] is Step.FLAT for s in segments)
+        assert "".join(s.steps for s in segments) == prefixed.steps
+        assert all(s.steps[0] == "F" for s in segments)
 
     @given(motzkin_paths())
     def test_down_split_concat_identity(self, path):
-        arched = MotzkinPath((Step.UP,) + path.steps + (Step.DOWN,))
+        arched = MotzkinPath("U" + path.steps + "D")
         segments = split_at_ground_downs(arched)
-        assert sum((s.steps for s in segments), ()) == arched.steps
+        assert "".join(s.steps for s in segments) == arched.steps
         for seg in segments:
-            assert seg.steps[0] is Step.UP
-            assert seg.steps[-1] is Step.DOWN
+            assert seg.steps[0] == "U"
+            assert seg.steps[-1] == "D"
