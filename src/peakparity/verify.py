@@ -31,11 +31,8 @@ from .paths import (
     stats,
 )
 from .trees import (
-    EdgeColor,
     OrderedTree,
     color_edges,
-    coloring_from_letters,
-    coloring_to_letters,
     glove_to_dyck,
     glove_to_tree,
     relocate_reds,
@@ -291,32 +288,28 @@ def _scan_parity_class(
             clean = all(body[k : k + 2] != "UD" for k in range(0, len(body) - 1, 2))
             rec.expect("no-ud-pairs", clean, n, p)
             t = glove_to_tree(p)
-            coloring = color_edges(t)
-            root_colors = {coloring[(i,)] for i in range(len(t.children))}
-            wanted = {EdgeColor.BLACK} if odd_side else {EdgeColor.BLUE}
+            letters = color_edges(t)
+            root_colors = {c for c, up in zip(letters, t.parent) if up == 0}
+            wanted = {"K"} if odd_side else {"B"}
             rec.expect("root-edge-colors", root_colors <= wanted, n, p)
-            blue = coloring.count(EdgeColor.BLUE)
-            red = coloring.count(EdgeColor.RED)
-            black = coloring.count(EdgeColor.BLACK)
+            counts = [letters.count(c) for c in "BRK"]
+            blue, red, black = counts
             downs = m1.steps.count("D")
             flats = m1.steps.count("F")
             rec.expect(
                 "coloring-counts", blue == red == downs and black == flats, n, p
             )
-            relocated, transported = relocate_reds(t, coloring)
+            relocated, moved = relocate_reds(t, letters)
             rec.expect(
                 "relocation-preservation",
-                relocated.node_count == t.node_count
-                and transported.count(EdgeColor.BLUE) == blue
-                and transported.count(EdgeColor.RED) == red
-                and transported.count(EdgeColor.BLACK) == black,
+                relocated.edge_count == t.edge_count
+                and [moved.count(c) for c in "BRK"] == counts,
                 n,
                 p,
             )
-            letters = coloring_to_letters(t, coloring)
             rec.expect(
                 "tree-codec-roundtrip",
-                coloring_from_letters(t, letters) == coloring,
+                OrderedTree.from_parens(relocated.to_parens()) == relocated,
                 n,
                 p,
             )

@@ -101,6 +101,13 @@ class TestConvert:
         assert err.startswith("peakparity: error: ")
         assert err.count("\n") == 1
 
+    def test_explicit_map_past_recursion_limit(self, capsys):
+        chain = "U" * 3000 + "D" * 3000
+        rc, out, err = run_cli(["convert", "--map", "explicit-b", chain], capsys)
+        assert (rc, err) == (0, "")
+        assert (out.count("\n"), len(out)) == (1, 3001)
+        assert run_cli(["convert", "--map", "tirrell-b", chain], capsys) == (0, out, "")
+
 
 class TestClassify:
     def test_single(self, capsys):

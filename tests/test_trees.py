@@ -1,12 +1,21 @@
 """Ordered trees, the traversal correspondence, edge coloring and relocation.
 
+A tree is its preorder parent array and a coloring is one B/R/K letter per
+edge in preorder, so edge i is the edge into node i + 1.
+
 The relocation semantics pinned here: a red edge moves to the rightmost
 slot under its parent node WITHOUT its subtree; the children its endpoint
 used to carry are spliced into its old position in order.  The large
 worked example below exercises a splice where the moved endpoint had two
 child subtrees, which distinguishes this from moving whole subtrees.
+``_relocate_oracle`` states that rule recursively on the parentheses text,
+and relocation is compared against it on every coloring of every small
+tree, not only on the colorings that color_edges produces.
 """
 from __future__ import annotations
+
+from dataclasses import fields
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -14,42 +23,97 @@ from hypothesis import given
 from conftest import d, dyck_paths, m
 from peakparity import (
     DyckPath,
-    EdgeColor,
-    EdgeColoring,
     IllDefinedParity,
     InvalidMotzkinOutput,
     OrderedTree,
     PathClass,
     classify,
     color_edges,
-    coloring_from_letters,
-    coloring_to_letters,
-    edge_parity,
+    explicit_map,
     generate,
     glove_to_dyck,
     glove_to_tree,
     peaks,
     relocate_reds,
+    tirrell_a,
+    tirrell_b,
     walk_to_motzkin,
 )
 
-B, R, K = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.BLACK
+_PARENS = str.maketrans("UD", "()")
+
+
+def _top_level(text: str):
+    """Inner text of each top-level pair of parentheses, left to right."""
+    depth = start = 0
+    for i, ch in enumerate(text):
+        depth += 1 if ch == "(" else -1
+        if depth == 0:
+            yield text[start + 1 : i]
+            start = i + 1
+
+
+def _relocate_oracle(parens: str, letters: str) -> tuple[str, str]:
+    """The nested-tree relocation rule, run on the parentheses text."""
+    colors = iter(letters)
+
+    def rebuild(text: str) -> list:
+        entries: list = []
+        tail: list = []
+        for inner in _top_level(text):
+            color = next(colors)
+            below = rebuild(inner)
+            if color == "R":
+                entries.extend(below)
+                tail.append((color, []))
+            else:
+                entries.append((color, below))
+        return entries + tail
+
+    def realize(entries: list) -> tuple[str, str]:
+        shape, colored = "", ""
+        for color, below in entries:
+            sub_shape, sub_colored = realize(below)
+            shape += "(" + sub_shape + ")"
+            colored += color + sub_colored
+        return shape, colored
+
+    return realize(rebuild(parens))
+
+
+def _edge_parities(parens: str, edge: int) -> set[int]:
+    """Parities of the leaf distances below an edge, from its text slice."""
+    start = [i for i, ch in enumerate(parens) if ch == "("][edge]
+    depth = 0
+    found = set()
+    for i in range(start + 1, len(parens)):
+        if parens[i] == "(":
+            depth += 1
+            if parens[i + 1] == ")":
+                found.add(depth % 2)
+        elif depth == 0:
+            return found or {0}
+        else:
+            depth -= 1
+    raise AssertionError("unbalanced parentheses")
 
 
 class TestOrderedTree:
     def test_single_node(self):
         t = OrderedTree.from_parens("")
-        assert t.is_leaf
+        assert t.parent == ()
         assert t.node_count == 1
         assert t.edge_count == 0
 
     def test_structure(self):
         t = OrderedTree.from_parens("(())()")
-        assert len(t.children) == 2
-        assert len(t.children[0].children) == 1
-        assert t.children[1].is_leaf
+        assert t.parent == (0, 1, 0)
         assert t.node_count == 4
         assert t.edge_count == 3
+
+    def test_one_field(self):
+        assert [f.name for f in fields(OrderedTree)] == ["parent"]
+        assert OrderedTree([0, 1]) == OrderedTree((0, 1))
 
     def test_parens_roundtrip(self):
         for text in ["", "()", "(())()", "((())())(())"]:
@@ -67,19 +131,13 @@ class TestOrderedTree:
         with pytest.raises(ValueError):
             OrderedTree.from_parens("(x)")
 
-    def test_node_at(self):
-        t = OrderedTree.from_parens("(())()")
-        assert t.node_at(()) is t
-        assert t.node_at((0, 0)).is_leaf
-        with pytest.raises(ValueError):
-            t.node_at((5,))
-
     def test_edges_preorder(self):
-        t = OrderedTree.from_parens("(())()")
-        assert list(t.edges()) == [(0,), (0, 0), (1,)]
+        # edge i joins node i + 1 to parent[i]; nodes are numbered in preorder
+        assert OrderedTree.from_parens("((())())(())").parent == (0, 1, 2, 1, 0, 5)
 
     def test_leaf_depths(self):
         assert OrderedTree.from_parens("(())()").leaf_depths() == [2, 1]
+        assert OrderedTree().leaf_depths() == [0]
 
 
 class TestGlove:
@@ -108,47 +166,54 @@ class TestGlove:
                 assert glove_to_dyck(t) == p
                 assert OrderedTree.from_parens(t.to_parens()) == t
 
+    def test_deeper_than_recursion_limit(self):
+        text = "U" * 1500 + "D" * 1500
+        t = glove_to_tree(DyckPath(text))
+        assert t.to_parens() == text.translate(_PARENS)
+        assert glove_to_dyck(t) == DyckPath(text)
+        assert t == OrderedTree.from_parens(t.to_parens())
+        assert t != glove_to_tree(DyckPath("U" * 1499 + "D" * 1499))
+
 
 class TestEdgeParity:
+    """color_edges' blue edges against parities read off the text slice."""
+
     def test_two_edge_chain(self):
-        t = OrderedTree.from_parens("(())")
-        assert edge_parity(t, (0,)) == 1
-        assert edge_parity(t, (0, 0)) == 0
+        assert _edge_parities("(())", 0) == {1}
+        assert _edge_parities("(())", 1) == {0}
+        assert color_edges(OrderedTree.from_parens("(())")) == "BR"
 
     def test_cherry(self):
-        t = OrderedTree.from_parens("(()())")
-        assert edge_parity(t, (0,)) == 1
+        assert _edge_parities("(()())", 0) == {1}
+        assert color_edges(OrderedTree.from_parens("(()())"))[0] == "B"
 
     def test_ill_defined(self):
         # one leaf one edge below, another two edges below
-        t = OrderedTree.from_parens("(()(()))")
+        assert _edge_parities("(()(()))", 0) == {0, 1}
         with pytest.raises(IllDefinedParity) as exc:
-            edge_parity(t, (0,))
-        assert exc.value.edge == (0,)
+            color_edges(OrderedTree.from_parens("(()(()))"))
+        assert exc.value.edge == 0
 
     def test_parity_against_distance_oracle(self):
-        t = glove_to_tree(d("UUUDDDUD"))
-        for edge in t.edges():
-            node = t.node_at(edge)
-            depths = node.leaf_depths()
-            assert edge_parity(t, edge) == depths[0] % 2
+        parens = "UUUDDDUD".translate(_PARENS)
+        letters = color_edges(OrderedTree.from_parens(parens))
+        assert letters == "KBRK"
+        for i, color in enumerate(letters):
+            assert _edge_parities(parens, i) == ({1} if color == "B" else {0})
 
 
 class TestColorEdges:
     def test_chain_two(self):
-        t = glove_to_tree(d("UUDD"))
-        assert color_edges(t) == EdgeColoring({(0,): B, (0, 0): R})
+        assert color_edges(glove_to_tree(d("UUDD"))) == "BR"
 
     def test_cherry_interior(self):
-        t = glove_to_tree(d("UUDUDD"))
-        coloring = color_edges(t)
-        assert coloring[(0,)] is B
-        assert coloring[(0, 0)] is R
-        assert coloring[(0, 1)] is K
+        letters = color_edges(glove_to_tree(d("UUDUDD")))
+        assert letters[0] == "B"
+        assert letters[1] == "R"
+        assert letters[2] == "K"
 
     def test_single_edge(self):
-        t = glove_to_tree(d("UD"))
-        assert color_edges(t) == EdgeColoring({(0,): K})
+        assert color_edges(glove_to_tree(d("UD"))) == "K"
 
     def test_mixed_parity_tree_rejected(self):
         t = glove_to_tree(d("UUDUUDDD"))
@@ -156,138 +221,175 @@ class TestColorEdges:
         with pytest.raises(IllDefinedParity):
             color_edges(t)
 
+    def test_first_mixed_edge_in_preorder(self):
+        # edge 0 is consistent; edges 1 and 5 are mixed
+        with pytest.raises(IllDefinedParity) as exc:
+            color_edges(OrderedTree.from_parens("()(()(()))(()(()))"))
+        assert exc.value.edge == 1
+
     def test_letters_roundtrip(self):
         t = glove_to_tree(d("UUDUDD"))
-        coloring = color_edges(t)
-        assert coloring_to_letters(t, coloring) == "BRK"
-        assert coloring_from_letters(t, "BRK") == coloring
+        letters = color_edges(t)
+        assert type(letters) is str
+        assert letters == "BRK"
+        assert walk_to_motzkin(t, letters) == m("UDF")
 
     def test_letters_length_mismatch(self):
         t = glove_to_tree(d("UD"))
-        with pytest.raises(ValueError):
-            coloring_from_letters(t, "BR")
+        with pytest.raises(ValueError, match="expected 1 color letters, got 2"):
+            relocate_reds(t, "BR")
+        with pytest.raises(ValueError, match="expected 1 color letters, got 2"):
+            walk_to_motzkin(t, "BR")
 
     def test_letters_invalid(self):
-        t = glove_to_tree(d("UD"))
-        with pytest.raises(ValueError):
-            coloring_from_letters(t, "X")
+        t = glove_to_tree(d("UDUD"))
+        with pytest.raises(ValueError, match="'X' at position 1"):
+            relocate_reds(t, "KX")
+        with pytest.raises(ValueError, match="'X' at position 1"):
+            walk_to_motzkin(t, "KX")
 
     def test_invariants_exhaustive_small(self):
         for n in range(7):
             for path_class in (PathClass.DYCK_ALL_ODD, PathClass.DYCK_ALL_EVEN):
                 for p in generate(path_class, n):
+                    parens = p.steps.translate(_PARENS)
                     t = glove_to_tree(p)
-                    coloring = color_edges(t)
+                    letters = color_edges(t)
                     blues = []
-                    for edge in t.edges():
-                        color = coloring[edge]
-                        parity = edge_parity(t, edge)
-                        if color is B:
-                            assert parity == 1
-                            blues.append(edge)
+                    for i, color in enumerate(letters):
+                        parity = _edge_parities(parens, i)
+                        if color == "B":
+                            assert parity == {1}
+                            blues.append(i)
                         else:
-                            assert parity == 0
-                        if color is R:
-                            # red only ever sits leftmost under a blue edge
-                            assert edge[-1] == 0
-                            assert coloring[edge[:-1]] is B
-                    for edge in blues:
-                        assert coloring[edge + (0,)] is R
-                    assert coloring.count(B) == coloring.count(R)
+                            assert parity == {0}
+                        if color == "R":
+                            # red only ever sits leftmost under a blue edge:
+                            # its node directly follows the blue edge's node
+                            assert t.parent[i] == i
+                            assert letters[i - 1] == "B"
+                    for i in blues:
+                        assert t.parent[i + 1] == i + 1
+                        assert letters[i + 1] == "R"
+                    assert letters.count("B") == letters.count("R")
 
 
 class TestRelocateReds:
     def test_leaf_red_moves_to_rightmost(self):
         t = glove_to_tree(d("UUDUDD"))
-        coloring = color_edges(t)
-        relocated, transported = relocate_reds(t, coloring)
+        relocated, moved = relocate_reds(t, color_edges(t))
         assert relocated.to_parens() == "(()())"
-        assert coloring_to_letters(relocated, transported) == "BKR"
+        assert moved == "BKR"
 
     def test_red_with_subtree_moves_alone(self):
         # chain of four edges: the upper red's endpoint carried a chain of
         # two more edges; those splice into its old slot, it leaves alone
         t = glove_to_tree(d("UUUUDDDD"))
-        coloring = color_edges(t)
-        assert coloring_to_letters(t, coloring) == "BRBR"
-        relocated, transported = relocate_reds(t, coloring)
+        letters = color_edges(t)
+        assert letters == "BRBR"
+        relocated, moved = relocate_reds(t, letters)
         assert relocated.to_parens() == "((())())"
-        assert coloring_to_letters(relocated, transported) == "BBRR"
-        assert walk_to_motzkin(relocated, transported) == m("UUDD")
+        assert moved == "BBRR"
+        assert walk_to_motzkin(relocated, moved) == m("UUDD")
 
     def test_no_reds_is_identity(self):
         t = glove_to_tree(d("UDUD"))
-        coloring = color_edges(t)
-        relocated, transported = relocate_reds(t, coloring)
+        letters = color_edges(t)
+        relocated, moved = relocate_reds(t, letters)
         assert relocated == t
-        assert transported == coloring
+        assert moved == letters
 
     def test_coloring_domain_mismatch(self):
         t = glove_to_tree(d("UD"))
         with pytest.raises(ValueError):
-            relocate_reds(t, EdgeColoring({(0,): K, (1,): K}))
+            relocate_reds(t, "KK")
+
+    def test_every_coloring_matches_nested_rule(self):
+        cases = 0
+        for k in range(1, 6):
+            for p in generate(PathClass.ALL_DYCK, k):
+                parens = p.steps.translate(_PARENS)
+                t = OrderedTree.from_parens(parens)
+                for letters in map("".join, product("BRK", repeat=k)):
+                    relocated, moved = relocate_reds(t, letters)
+                    got = (relocated.to_parens(), moved)
+                    assert got == _relocate_oracle(parens, letters), (parens, letters)
+                    cases += 1
+        assert cases == 11_496
 
     def test_conservation_exhaustive_small(self):
         for n in range(7):
             for path_class in (PathClass.DYCK_ALL_ODD, PathClass.DYCK_ALL_EVEN):
                 for p in generate(path_class, n):
                     t = glove_to_tree(p)
-                    coloring = color_edges(t)
-                    relocated, transported = relocate_reds(t, coloring)
+                    letters = color_edges(t)
+                    relocated, moved = relocate_reds(t, letters)
                     assert relocated.node_count == t.node_count
                     assert relocated.edge_count == t.edge_count
-                    for color in (B, R, K):
-                        assert transported.count(color) == coloring.count(color)
+                    assert sorted(moved) == sorted(letters)
 
 
 class TestWalk:
     def test_examples(self):
         for text, image in [("UUDD", "UD"), ("UUDUDD", "UFD"), ("UD", "F")]:
             t = glove_to_tree(d(text))
-            relocated, transported = relocate_reds(t, color_edges(t))
-            assert walk_to_motzkin(relocated, transported) == m(image)
+            relocated, moved = relocate_reds(t, color_edges(t))
+            assert walk_to_motzkin(relocated, moved) == m(image)
 
     def test_invalid_output(self):
         t = OrderedTree.from_parens("()")
         with pytest.raises(InvalidMotzkinOutput):
-            walk_to_motzkin(t, EdgeColoring({(0,): R}))
+            walk_to_motzkin(t, "R")
 
     def test_coloring_domain_mismatch(self):
         t = OrderedTree.from_parens("()()")
         with pytest.raises(ValueError):
-            walk_to_motzkin(t, EdgeColoring({(0,): K}))
+            walk_to_motzkin(t, "K")
 
 
 class TestWorkedExample:
-    """A 19-edge tree with every coloring and relocation feature at once."""
+    """A 19-edge tree with every coloring and relocation feature at once.
 
-    @staticmethod
-    def build() -> OrderedTree:
-        leaf = OrderedTree()
-        node_d = OrderedTree((leaf, leaf))  # edges e (red), f (black)
-        node_g = OrderedTree((leaf,))  # edge h
-        node_c = OrderedTree((node_d, node_g))
-        node_k = OrderedTree((leaf,))  # edge l
-        node_j = OrderedTree((node_k,))
-        node_b = OrderedTree((node_c, leaf, node_j))  # edges c, i, j
-        node_m = OrderedTree((leaf,))  # edge n
-        node_r = OrderedTree((leaf,))  # edge s
-        node_q = OrderedTree((node_r,))
-        node_o = OrderedTree((leaf, node_q))  # edges p, q
-        node_a = OrderedTree((node_b, node_m, node_o))
-        return OrderedTree((node_a,))
+    Edge 2 is red, as the leftmost child edge of blue edge 1, and its
+    endpoint carries two subtrees, entered by edges 3 and 6.  Relocation
+    splices both into its slot and moves the red edge alone to the right.
+    """
+
+    PARENS = "((((()())(()))()((())))(())(()((()))))"
 
     def test_coloring(self):
-        t = self.build()
-        assert coloring_to_letters(t, color_edges(t)) == "KBRBRKBRKKBRBRBRKBR"
+        t = OrderedTree.from_parens(self.PARENS)
+        assert color_edges(t) == "KBRBRKBRKKBRBRBRKBR"
 
     def test_relocation_and_walk(self):
-        t = self.build()
-        coloring = color_edges(t)
-        relocated, transported = relocate_reds(t, coloring)
-        assert coloring_to_letters(relocated, transported) == "KBBKRBRKKBRRBRBKBRR"
-        assert walk_to_motzkin(relocated, transported) == m("FUUFDUDFFUDDUDUFUDD")
+        t = OrderedTree.from_parens(self.PARENS)
+        relocated, moved = relocate_reds(t, color_edges(t))
+        assert relocated.to_parens() == "(((()())(())()((()))())(())(((()))()))"
+        assert moved == "KBBKRBRKKBRRBRBKBRR"
+        assert walk_to_motzkin(relocated, moved) == m("FUUFDUDFFUDDUDUFUDD")
 
     def test_all_leaves_odd(self):
-        t = self.build()
+        t = OrderedTree.from_parens(self.PARENS)
         assert all(depth % 2 == 1 for depth in t.leaf_depths())
+
+
+class TestLargeTrees:
+    """Every stage is one loop, so depth and width are limited by memory."""
+
+    @pytest.mark.parametrize(
+        "text,pairing",
+        [
+            ("U" * 100_001 + "D" * 100_001, tirrell_a),
+            ("U" * 100_000 + "D" * 100_000, tirrell_b),
+            ("UD" * 100_000, tirrell_a),
+            ("UUDD" * 50_000, tirrell_b),
+        ],
+        ids=["odd-chain", "even-chain", "odd-wide", "even-wide"],
+    )
+    def test_stages_agree_with_pairing(self, text, pairing):
+        p = DyckPath(text)
+        want = pairing(p)
+        t = glove_to_tree(p)
+        relocated, moved = relocate_reds(t, color_edges(t))
+        assert walk_to_motzkin(relocated, moved) == want
+        assert explicit_map(p) == want
