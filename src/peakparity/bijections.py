@@ -6,9 +6,10 @@ heights to a Motzkin path of length n starting with a ground-level flat
 step, and a path whose peaks all sit at even heights to a Motzkin path of
 length n with no ground-level flat step at all.
 
-phi_a and phi_b recurse on the return-to-ground factorization, psi_a and
-psi_b invert them, explicit_map goes through the colored-tree rewrite in
-one shot, and the tirrell maps substitute adjacent step pairs directly.
+phi_a and phi_b unroll the paper's recursion on the return-to-ground
+factorization into one pass over the steps, psi_a and psi_b invert them
+in one pass, explicit_map goes through the colored-tree rewrite in one
+shot, and the tirrell maps substitute adjacent step pairs directly.
 The routes agree pointwise; the verification module checks that
 exhaustively.
 """
@@ -22,9 +23,6 @@ from .paths import (
     PeakParityError,
     _arch_bounds,
     classify,
-    decompose,
-    split_at_ground_downs,
-    split_at_ground_flats,
 )
 from .trees import color_edges, glove_to_tree, relocate_reds, walk_to_motzkin
 from enum import Enum
@@ -42,11 +40,6 @@ class WrongParityClass(PeakParityError):
         else:
             msg = f"path classifies as {actual.value}"
         super().__init__(msg)
-
-
-class FirstStepNotFlat(PeakParityError):
-    def __init__(self):
-        super().__init__("path does not begin with a flat step")
 
 
 class UnexpectedUDPair(PeakParityError):
@@ -72,11 +65,20 @@ def _require_class(p: DyckPath, *expected: PeakParityClass) -> PeakParityClass:
     return actual
 
 
-def rest(m: MotzkinPath) -> MotzkinPath:
-    """Drop the leading flat step of a Motzkin path."""
-    if not m.steps.startswith("F"):
-        raise FirstStepNotFlat()
-    return MotzkinPath(m.steps[1:])
+def _phi(text: str, on_a: bool) -> MotzkinPath:
+    # on_a: the factors starting at the current level are phi_a's (even
+    # levels under phi_a, odd under phi_b); each emits F, which rest drops
+    # right after a U.  A phi_b factor emits U, its interior's image, D.
+    out, prev = [], ""
+    for ch in text:
+        if ch == "U" and not on_a:
+            out.append("U")
+        elif ch == "U" and prev != "U":
+            out.append("F")
+        elif ch == "D" and on_a:
+            out.append("D")
+        on_a, prev = not on_a, ch
+    return MotzkinPath("".join(out))
 
 
 def phi_a(p: DyckPath) -> MotzkinPath:
@@ -87,10 +89,7 @@ def phi_a(p: DyckPath) -> MotzkinPath:
     all-even, so the recursion alternates.
     """
     _require_class(p, PeakParityClass.ALL_ODD)
-    out: list[str] = []
-    for interior in decompose(p):
-        out.append("F" + phi_b(interior).steps)
-    return MotzkinPath("".join(out))
+    return _phi(p.steps, True)
 
 
 def phi_b(p: DyckPath) -> MotzkinPath:
@@ -101,29 +100,48 @@ def phi_b(p: DyckPath) -> MotzkinPath:
     all-even path is nonempty and all-odd, so the leading flat exists.
     """
     _require_class(p, PeakParityClass.ALL_EVEN)
-    out: list[str] = []
-    for interior in decompose(p):
-        out.append("U" + rest(phi_a(interior)).steps + "D")
-    return MotzkinPath("".join(out))
+    return _phi(p.steps, False)
+
+
+def _psi(text: str, side: str) -> DyckPath:
+    # one (side, a psi_a segment is open) frame per open level.  An arch
+    # U A D of psi_b reads A as psi_a(F A): its U opens the arch and A's
+    # first segment, a flat in A closes one segment and opens the next,
+    # and its D closes the last segment and the arch
+    out, frames = [], [(side, False)]
+    for i, ch in enumerate(text):
+        if ch == "U":
+            out.append("UU")
+            frames.append(("a", True))
+        elif ch == "D":
+            out.append("DD")
+            frames.pop()
+        elif frames[-1][0] == "b":
+            raise NotInImage(f"flat step at ground level at position {i}")
+        else:
+            out.append("DU" if frames[-1][1] else "U")
+            frames[-1] = ("a", True)
+    return DyckPath("".join(out) + ("D" if frames[0][1] else ""))
 
 
 def psi_a(m: MotzkinPath) -> DyckPath:
-    """Invert phi_a.  Accepts exactly the Motzkin paths starting with a flat."""
+    """Invert phi_a.  Accepts exactly the Motzkin paths starting with a flat.
+
+    Each segment F S, cut before a ground flat, contributes U psi_b(S) D.
+    """
     if not m.steps:
         raise NotInImage("the empty path is not in the image of phi_a")
-    out: list[str] = []
-    for segment in split_at_ground_flats(m):
-        out.append("U" + psi_b(MotzkinPath(segment.steps[1:])).steps + "D")
-    return DyckPath("".join(out))
+    if m.steps[0] != "F":
+        raise NotInImage("path does not start with a ground-level flat step")
+    return _psi(m.steps, "a")
 
 
 def psi_b(m: MotzkinPath) -> DyckPath:
-    """Invert phi_b.  Accepts exactly the Motzkin paths with no ground flat."""
-    out: list[str] = []
-    for arch in split_at_ground_downs(m):
-        inner = MotzkinPath("F" + arch.steps[1:-1])
-        out.append("U" + psi_a(inner).steps + "D")
-    return DyckPath("".join(out))
+    """Invert phi_b.  Accepts exactly the Motzkin paths with no ground flat.
+
+    Each arch U A D contributes U psi_a(F A) D.
+    """
+    return _psi(m.steps, "b")
 
 
 def _explicit(p: DyckPath) -> MotzkinPath:

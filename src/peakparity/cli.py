@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit status 0 on success, 1 when an input fails validation, falls
-outside a map's domain or nests too deeply for a recursive map, or a
-verification run finds a failing check, and 2 when the command line
-itself is malformed.  A rejected stdin line is named by its number.
+Exit status 0 on success, 1 when an input fails validation or falls
+outside a map's domain, or a verification run finds a failing check,
+and 2 when the command line itself is malformed.  A rejected stdin
+line is named by its number.
 """
 from __future__ import annotations
 
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     args.line = None
     try:
         return _HANDLERS[args.command](args)
-    except (PeakParityError, RecursionError) as exc:
+    except PeakParityError as exc:
         where = "" if args.line is None else f"line {args.line}: "
         print(f"peakparity: error: {where}{exc}", file=sys.stderr)
         return 1

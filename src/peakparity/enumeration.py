@@ -54,20 +54,22 @@ def lex_key(path: Union[DyckPath, MotzkinPath]) -> tuple[int, ...]:
 
 def _balanced(total: int, allow_flat: bool) -> Iterator[str]:
     """All nonnegative balanced step texts of the given length, in lex order."""
-
-    def extend(prefix: str, level: int, remaining: int) -> Iterator[str]:
+    # depth first, and the last push is popped first, so pushing D, F, U
+    # yields U < F < D; no push lets level exceed the steps remaining, so a
+    # full-length prefix is back at ground
+    stack = [("", 0)]
+    while stack:
+        prefix, level = stack.pop()
+        remaining = total - len(prefix)
         if remaining == 0:
-            if level == 0:
-                yield prefix
-            return
-        if remaining - 1 >= level + 1:
-            yield from extend(prefix + "U", level + 1, remaining - 1)
-        if allow_flat and remaining - 1 >= level:
-            yield from extend(prefix + "F", level, remaining - 1)
+            yield prefix
+            continue
         if level > 0:
-            yield from extend(prefix + "D", level - 1, remaining - 1)
-
-    return extend("", 0, total)
+            stack.append((prefix + "D", level - 1))
+        if allow_flat and remaining - 1 >= level:
+            stack.append((prefix + "F", level))
+        if remaining - 1 >= level + 1:
+            stack.append((prefix + "U", level + 1))
 
 
 _DYCK_FILTER = {

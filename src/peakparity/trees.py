@@ -41,13 +41,33 @@ class InvalidMotzkinOutput(PeakParityError):
 class OrderedTree:
     """Ordered rooted tree as its preorder parent array.
 
-    ``parent[i]`` is the parent of node i + 1; the root is node 0.
+    ``parent[i]`` is the parent of node i + 1; the root is node 0.  In
+    preorder that parent is node i or one of its ancestors; any other
+    array raises ValueError naming the first index where this fails.
     """
 
     parent: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "parent", tuple(self.parent))
+        path = [0]  # root to the node numbered last
+        for i, p in enumerate(self.parent):
+            while path and path[-1] != p:
+                path.pop()
+            if not path:
+                raise ValueError(
+                    f"not a preorder parent array: parent[{i}] = {p!r} is not "
+                    f"node {i} or an ancestor of it"
+                )
+            path.append(i + 1)
+
+    @classmethod
+    def _built(cls, parent: list[int]) -> "OrderedTree":
+        # arrays this module builds in preorder are valid by construction;
+        # skipping the check keeps it off every tree the explicit route makes
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "parent", tuple(parent))
+        return tree
 
     @property
     def node_count(self) -> int:
@@ -97,7 +117,7 @@ class OrderedTree:
                 raise ValueError(f"invalid character {ch!r} at position {i}")
         if len(stack) > 1:
             raise ValueError("unmatched '(' at end of input")
-        return cls(tuple(parent))
+        return cls._built(parent)
 
     def __repr__(self) -> str:
         return f"OrderedTree.from_parens({self.to_parens()!r})"
@@ -203,8 +223,9 @@ def relocate_reds(t: OrderedTree, letters: str) -> tuple[OrderedTree, str]:
         parent.append(p)
         moved.append(letters[v - 1])
         here = len(parent)
-        stack.extend((c, here) for c in reversed(children[v]))
-    return OrderedTree(tuple(parent)), "".join(moved)
+        for c in reversed(children[v]):
+            stack.append((c, here))
+    return OrderedTree._built(parent), "".join(moved)
 
 
 _STEP_FOR_LETTER = str.maketrans("BRK", "UDF")

@@ -13,7 +13,6 @@ from hypothesis import given
 from conftest import d, even_dyck_paths, m, odd_dyck_paths
 from peakparity import (
     DyckPath,
-    FirstStepNotFlat,
     InvalidExpansion,
     MapKind,
     MotzkinPath,
@@ -32,7 +31,6 @@ from peakparity import (
     phi_b,
     psi_a,
     psi_b,
-    rest,
     stats,
     tirrell_a,
     tirrell_a_inv,
@@ -89,7 +87,7 @@ class TestRecursiveMaps:
                 fn(mixed)
             assert exc.value.actual is PeakParityClass.MIXED
 
-    @pytest.mark.parametrize("semilength", [64, 128, 200])
+    @pytest.mark.parametrize("semilength", [64, 128, 200, 100000])
     def test_deep_even_chain(self, semilength):
         # single peak at even height, maximal nesting depth
         chain = DyckPath("U" * semilength + "D" * semilength)
@@ -97,24 +95,24 @@ class TestRecursiveMaps:
         assert len(image) == semilength
         assert psi_b(image) == chain
 
-    @pytest.mark.parametrize("semilength", [65, 201])
+    @pytest.mark.parametrize("semilength", [65, 201, 100001])
     def test_deep_odd_chain(self, semilength):
         chain = DyckPath("U" * semilength + "D" * semilength)
         image = phi_a(chain)
         assert len(image) == semilength
         assert psi_a(image) == chain
 
-
-class TestRest:
-    def test_drops_leading_flat(self):
-        assert rest(m("FUD")) == m("UD")
-        assert rest(m("F")) == MotzkinPath()
-
-    def test_requires_flat(self):
-        with pytest.raises(FirstStepNotFlat):
-            rest(m("UD"))
-        with pytest.raises(FirstStepNotFlat):
-            rest(MotzkinPath())
+    @pytest.mark.parametrize(
+        "text,phi,psi,pairing",
+        [("UD" * 100000, phi_a, psi_a, tirrell_a), ("UUDD" * 50000, phi_b, psi_b, tirrell_b)],
+        ids=["odd", "even"],
+    )
+    def test_wide(self, text, phi, psi, pairing):
+        # every peak at the lowest height its class allows, side by side
+        p = DyckPath(text)
+        image = phi(p)
+        assert image == pairing(p)
+        assert psi(image) == p
 
 
 class TestInverses:

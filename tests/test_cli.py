@@ -93,20 +93,21 @@ class TestConvert:
         assert rc == 1
         assert "flat step" in err
 
-    def test_too_deep_for_recursion_is_one_error_line(self, capsys):
-        chain = "U" * 3000 + "D" * 3000
-        rc, out, err = run_cli(["convert", "--map", "phi-b", chain], capsys)
-        assert rc == 1
-        assert out == ""
-        assert err.startswith("peakparity: error: ")
-        assert err.count("\n") == 1
-
-    def test_explicit_map_past_recursion_limit(self, capsys):
-        chain = "U" * 3000 + "D" * 3000
-        rc, out, err = run_cli(["convert", "--map", "explicit-b", chain], capsys)
+    @pytest.mark.parametrize(
+        "kind,text,pairing",
+        [
+            ("explicit-b", "U" * 3000 + "D" * 3000, "tirrell-b"),
+            ("phi-b", "U" * 3000 + "D" * 3000, "tirrell-b"),
+            ("psi-b", "U" * 1500 + "D" * 1500, "tirrell-b-inv"),
+        ],
+        ids=["explicit-b", "phi-b", "psi-b"],
+    )
+    def test_explicit_map_past_recursion_limit(self, kind, text, pairing, capsys):
+        # nesting 1,500 to 3,000 deep, past the interpreter's default limit
+        rc, out, err = run_cli(["convert", "--map", kind, text], capsys)
         assert (rc, err) == (0, "")
-        assert (out.count("\n"), len(out)) == (1, 3001)
-        assert run_cli(["convert", "--map", "tirrell-b", chain], capsys) == (0, out, "")
+        assert out.count("\n") == 1
+        assert run_cli(["convert", "--map", pairing, text], capsys) == (0, out, "")
 
 
 class TestClassify:

@@ -139,6 +139,16 @@ class TestOrderedTree:
         assert OrderedTree.from_parens("(())()").leaf_depths() == [2, 1]
         assert OrderedTree().leaf_depths() == [0]
 
+    @pytest.mark.parametrize(
+        "parent,index",
+        [((1,), 0), ((0, 0, 1), 2), ((5,), 0)],
+        ids=["own-parent", "parent-left-behind", "no-such-node"],
+    )
+    def test_rejects_non_preorder_parent(self, parent, index):
+        # node i + 1's parent must be node i or an ancestor of it
+        with pytest.raises(ValueError, match=rf"parent\[{index}\]"):
+            OrderedTree(parent)
+
 
 class TestGlove:
     def test_examples(self):
