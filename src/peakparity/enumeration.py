@@ -18,7 +18,6 @@ from .paths import (
     PeakParityClass,
     PeakParityError,
     classify,
-    stats,
 )
 
 
@@ -52,8 +51,15 @@ def lex_key(path: Union[DyckPath, MotzkinPath]) -> tuple[int, ...]:
     return tuple(map("UFD".index, path.steps))
 
 
-def _balanced(total: int, allow_flat: bool) -> Iterator[str]:
-    """All nonnegative balanced step texts of the given length, in lex order."""
+def _balanced(
+    total: int, flat_from: int | None = None, peak_parity: int | None = None
+) -> Iterator[str]:
+    """Nonnegative balanced step texts of the given length, in lex order.
+
+    F goes only at levels of at least flat_from, if set.  A D right after
+    a U closes a peak at the parity of the prefix length, which must then
+    equal peak_parity, if set.
+    """
     # depth first, and the last push is popped first, so pushing D, F, U
     # yields U < F < D; no push lets level exceed the steps remaining, so a
     # full-length prefix is back at ground
@@ -64,47 +70,37 @@ def _balanced(total: int, allow_flat: bool) -> Iterator[str]:
         if remaining == 0:
             yield prefix
             continue
-        if level > 0:
+        if level > 0 and (
+            peak_parity is None or prefix[-1] != "U" or len(prefix) % 2 == peak_parity
+        ):
             stack.append((prefix + "D", level - 1))
-        if allow_flat and remaining - 1 >= level:
+        if flat_from is not None and level >= flat_from and remaining - 1 >= level:
             stack.append((prefix + "F", level))
         if remaining - 1 >= level + 1:
             stack.append((prefix + "U", level + 1))
-
-
-_DYCK_FILTER = {
-    PathClass.ALL_DYCK: None,
-    PathClass.DYCK_ALL_ODD: PeakParityClass.ALL_ODD,
-    PathClass.DYCK_ALL_EVEN: PeakParityClass.ALL_EVEN,
-    PathClass.DYCK_MIXED: PeakParityClass.MIXED,
-}
-
-
-def _generate_dyck(wanted: PeakParityClass | None, n: int) -> Iterator[DyckPath]:
-    for steps in _balanced(2 * n, allow_flat=False):
-        p = DyckPath(steps)
-        if wanted is None or classify(p) is wanted:
-            yield p
-
-
-def _generate_motzkin(path_class: PathClass, n: int) -> Iterator[MotzkinPath]:
-    for steps in _balanced(n, allow_flat=True):
-        if path_class is PathClass.MOTZKIN_START_FLAT:
-            if not steps.startswith("F"):
-                continue
-        m = MotzkinPath(steps)
-        if path_class is PathClass.MOTZKIN_NO_GROUND_FLAT and stats(m).ground_flats:
-            continue
-        yield m
 
 
 def generate(path_class: PathClass, n: int) -> Iterator[Union[DyckPath, MotzkinPath]]:
     """Every path of the class at size n, in lex order with U < F < D."""
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if path_class in _DYCK_FILTER:
-        return _generate_dyck(_DYCK_FILTER[path_class], n)
-    return _generate_motzkin(path_class, n)
+    if path_class is PathClass.DYCK_MIXED:
+        # no local rule prunes the mixed class, so it alone is a filter
+        dyck = generate(PathClass.ALL_DYCK, n)
+        return (p for p in dyck if classify(p) is PeakParityClass.MIXED)
+    if path_class is PathClass.MOTZKIN_START_FLAT:
+        # the walk of length -1 yields nothing, so the class is empty at 0
+        return (MotzkinPath("F" + s) for s in _balanced(n - 1, flat_from=0))
+    if path_class is PathClass.ALL_MOTZKIN:
+        return map(MotzkinPath, _balanced(n, flat_from=0))
+    if path_class is PathClass.MOTZKIN_NO_GROUND_FLAT:
+        return map(MotzkinPath, _balanced(n, flat_from=1))
+    if path_class is PathClass.DYCK_ALL_ODD:
+        # the empty path counts as all-even
+        return map(DyckPath, _balanced(2 * n, peak_parity=1) if n else ())
+    if path_class is PathClass.DYCK_ALL_EVEN:
+        return map(DyckPath, _balanced(2 * n, peak_parity=0))
+    return map(DyckPath, _balanced(2 * n))
 
 
 _CATALAN: list[int] = [1]
@@ -185,18 +181,10 @@ def count_table(max_n: int) -> CountTable:
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    pure = (PathClass.ALL_DYCK, PathClass.DYCK_ALL_ODD, PathClass.DYCK_ALL_EVEN)
     rows = []
     for n in range(1, max_n + 1):
-        odd = even = mixed = total = 0
-        for p in generate(PathClass.ALL_DYCK, n):
-            total += 1
-            c = classify(p)
-            if c is PeakParityClass.ALL_ODD:
-                odd += 1
-            elif c is PeakParityClass.ALL_EVEN:
-                even += 1
-            else:
-                mixed += 1
+        total, odd, even = (sum(1 for _ in generate(c, n)) for c in pure)
         row = CountRow(
             n=n,
             catalan=catalan(n),
@@ -204,7 +192,7 @@ def count_table(max_n: int) -> CountTable:
             motzkin_prev=motzkin(n - 1),
             even_count=even,
             riordan=riordan(n),
-            mixed_count=mixed,
+            mixed_count=total - odd - even,
         )
         if total != row.catalan:
             raise ClaimViolation(n, "catalan", row.catalan, total)

@@ -173,8 +173,8 @@ def peaks(p: DyckPath) -> list[tuple[int, int]]:
 
     The position is the index of the up step and the height is the level
     reached by it.  The empty path has no literal peak; by convention it
-    reports a single peak of height 0 at position -1, which makes the
-    empty path classify as all-even.
+    reports a single peak of height 0 at position -1, matching the one
+    leaf, at depth 0, of the single-node tree that spells it.
     """
     text = p.steps
     if not text:
@@ -190,13 +190,24 @@ def peaks(p: DyckPath) -> list[tuple[int, int]]:
     return found
 
 
+# a UD at an even index is a peak at odd height, at an odd index at even height
+_ODD_PEAK = re.compile("(?:..)*?UD").match
+_EVEN_PEAK = re.compile(".(?:..)*?UD").match
+
+
 def classify(p: DyckPath) -> PeakParityClass:
-    """Sort a Dyck path by the parities occurring among its peak heights."""
-    heights = [h for _, h in peaks(p)]
-    if all(h % 2 == 1 for h in heights):
-        return PeakParityClass.ALL_ODD
-    if all(h % 2 == 0 for h in heights):
+    """Sort a Dyck path by the parities occurring among its peak heights.
+
+    A peak's height is its up step's 1-based position minus twice the downs before it.
+    The empty path has no peak and counts as all-even.  A flat step would
+    break the parity rule, so anything but a DyckPath raises TypeError.
+    """
+    if not isinstance(p, DyckPath):
+        raise TypeError(f"classify takes a DyckPath, not {type(p).__name__}")
+    if not _ODD_PEAK(p.steps):
         return PeakParityClass.ALL_EVEN
+    if not _EVEN_PEAK(p.steps):
+        return PeakParityClass.ALL_ODD
     return PeakParityClass.MIXED
 
 
@@ -216,7 +227,7 @@ class PathStats:
     """Statistics of the steps, preserved or transported by the maps.
 
     peaks counts literal up-down factors, so the empty path has 0 here
-    even though classify treats it through the height-0 convention.
+    even though the peaks function reports it one by convention.
     """
 
     peaks: int

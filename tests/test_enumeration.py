@@ -6,6 +6,8 @@ has to agree with both on every row.
 """
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from conftest import d, m
@@ -15,12 +17,16 @@ from peakparity import (
     DyckPath,
     MotzkinPath,
     PathClass,
+    PeakParityClass,
+    PeakParityError,
     catalan,
+    classify,
     count_table,
     generate,
     lex_key,
     motzkin,
     riordan,
+    stats,
 )
 from peakparity import enumeration
 
@@ -58,7 +64,47 @@ class TestCounters:
             fn(-1)
 
 
+def _every_path(path_type, alphabet: str, length: int) -> list:
+    """Brute force: every valid text over the alphabet, in the order U < F < D."""
+    found = []
+    for letters in product(alphabet, repeat=length):
+        if letters.count("U") == letters.count("D"):
+            try:
+                found.append(path_type("".join(letters)))
+            except PeakParityError:
+                pass
+    return found
+
+
+def _kept(source: PathClass, n: int, keep) -> list:
+    return [p for p in generate(source, n) if keep(p)]
+
+
+# for each class the walk builds, the paths it must yield at size n
+_ORACLES = {
+    PathClass.ALL_DYCK: lambda n: _every_path(DyckPath, "UD", 2 * n),
+    PathClass.DYCK_ALL_ODD: lambda n: _kept(
+        PathClass.ALL_DYCK, n, lambda p: classify(p) is PeakParityClass.ALL_ODD
+    ),
+    PathClass.DYCK_ALL_EVEN: lambda n: _kept(
+        PathClass.ALL_DYCK, n, lambda p: classify(p) is PeakParityClass.ALL_EVEN
+    ),
+    PathClass.ALL_MOTZKIN: lambda n: _every_path(MotzkinPath, "UFD", n),
+    PathClass.MOTZKIN_START_FLAT: lambda n: _kept(
+        PathClass.ALL_MOTZKIN, n, lambda p: p.steps[:1] == "F"
+    ),
+    PathClass.MOTZKIN_NO_GROUND_FLAT: lambda n: _kept(
+        PathClass.ALL_MOTZKIN, n, lambda p: stats(p).ground_flats == 0
+    ),
+}
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("path_class", list(_ORACLES), ids=lambda c: c.value)
+    def test_walk_matches_oracle(self, path_class):
+        for n in range(10):
+            assert list(generate(path_class, n)) == _ORACLES[path_class](n), n
+
     def test_all_dyck_order(self):
         got = [p.render() for p in generate(PathClass.ALL_DYCK, 3)]
         assert got == ["UUUDDD", "UUDUDD", "UUDDUD", "UDUUDD", "UDUDUD"]

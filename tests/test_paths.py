@@ -2,8 +2,8 @@
 
 Core behaviors pinned here:
 - validation errors carry the position or level they complain about
-- the empty path classifies all-even by the height-0 peak convention,
-  while its literal peak count in stats() is 0
+- the empty path classifies all-even, while peaks() reports it one peak
+  of height 0 by convention and its literal peak count in stats() is 0
 - decompose splits at returns to ground and the interiors alternate
   parity class within a pure-parity path
 """
@@ -214,10 +214,24 @@ class TestClassify:
             ("UUDUDD", PeakParityClass.ALL_EVEN),
             ("UDUUDD", PeakParityClass.MIXED),
             ("UUDDUD", PeakParityClass.MIXED),
+            pytest.param("UD" * 100000, PeakParityClass.ALL_ODD, id="(UD)^100000"),
+            pytest.param("UUDD" * 50000, PeakParityClass.ALL_EVEN, id="(UUDD)^50000"),
+            pytest.param(
+                "U" * 100001 + "D" * 100001,
+                PeakParityClass.ALL_ODD,
+                id="U^100001-D^100001",
+            ),
+            pytest.param(
+                "UD" * 99999 + "UUDD", PeakParityClass.MIXED, id="(UD)^99999-UUDD"
+            ),
         ],
     )
     def test_examples(self, text, expected):
         assert classify(d(text)) is expected
+
+    def test_rejects_motzkin_path(self):
+        with pytest.raises(TypeError):
+            classify(m("FUD"))
 
     @given(dyck_paths())
     def test_matches_parity_sets(self, p):
@@ -281,8 +295,8 @@ class TestStats:
         assert st.ground_flats == 0
 
     def test_empty_path_has_zero_literal_peaks(self):
-        # classify() treats the empty path as all-even via the height-0
-        # convention, but no UD factor exists, so the count here is 0
+        # peaks() reports the empty path one peak of height 0 by convention,
+        # but no UD factor exists, so the count here is 0
         assert stats(DyckPath()).peaks == 0
 
     def test_motzkin_counts(self):
