@@ -15,22 +15,17 @@ from typing import Iterator
 
 from .bijections import MapKind, apply_map
 from .enumeration import PathClass, count_table, generate
-from .paths import DyckPath, MotzkinPath, PeakParityError, classify, stats
+from .paths import (
+    DyckPath,
+    MotzkinPath,
+    PathStats,
+    PeakParityError,
+    classify,
+    stats,
+)
 from .verify import format_report, run_verification
 
 _FORMATS = ("plain", "tsv", "json-lines")
-
-_STAT_KEYS = (
-    "peaks",
-    "ground_returns",
-    "ground_flats",
-    "ground_downs",
-    "u_count",
-    "f_count",
-    "uu_count",
-    "fu_count",
-    "peak_image",
-)
 
 
 def _nonnegative(text: str) -> int:
@@ -198,8 +193,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     kind = MapKind(args.map_kind)
     if args.format == "tsv":
         header = ["map", "input", "output"]
-        header += [f"input_{k}" for k in _STAT_KEYS]
-        header += [f"output_{k}" for k in _STAT_KEYS]
+        header += [f"input_{k}" for k in PathStats.keys]
+        header += [f"output_{k}" for k in PathStats.keys]
         print("\t".join(header))
     for text in _input_texts(args):
         path = _parse_for(kind, text)
@@ -208,8 +203,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         target = stats(result).as_dict()
         if args.format == "tsv":
             row = [kind.value, path.render(), result.render()]
-            row += [str(source[k]) for k in _STAT_KEYS]
-            row += [str(target[k]) for k in _STAT_KEYS]
+            row += [str(source[k]) for k in PathStats.keys]
+            row += [str(target[k]) for k in PathStats.keys]
             print("\t".join(row))
         else:
             print(

@@ -8,7 +8,7 @@ piece of code agreeing with itself.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import ClassVar, Iterator, Union
 
@@ -81,7 +81,10 @@ def _balanced(
 
 
 def generate(path_class: PathClass, n: int) -> Iterator[Union[DyckPath, MotzkinPath]]:
-    """Every path of the class at size n, in lex order with U < F < D."""
+    """Every path of the class at size n, in lex order with U < F < D.
+
+    The walk builds only valid text, so the paths skip validation.
+    """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if path_class is PathClass.DYCK_MIXED:
@@ -90,17 +93,17 @@ def generate(path_class: PathClass, n: int) -> Iterator[Union[DyckPath, MotzkinP
         return (p for p in dyck if classify(p) is PeakParityClass.MIXED)
     if path_class is PathClass.MOTZKIN_START_FLAT:
         # the walk of length -1 yields nothing, so the class is empty at 0
-        return (MotzkinPath("F" + s) for s in _balanced(n - 1, flat_from=0))
+        return (MotzkinPath._built("F" + s) for s in _balanced(n - 1, flat_from=0))
     if path_class is PathClass.ALL_MOTZKIN:
-        return map(MotzkinPath, _balanced(n, flat_from=0))
+        return map(MotzkinPath._built, _balanced(n, flat_from=0))
     if path_class is PathClass.MOTZKIN_NO_GROUND_FLAT:
-        return map(MotzkinPath, _balanced(n, flat_from=1))
+        return map(MotzkinPath._built, _balanced(n, flat_from=1))
     if path_class is PathClass.DYCK_ALL_ODD:
         # the empty path counts as all-even
-        return map(DyckPath, _balanced(2 * n, peak_parity=1) if n else ())
+        return map(DyckPath._built, _balanced(2 * n, peak_parity=1) if n else ())
     if path_class is PathClass.DYCK_ALL_EVEN:
-        return map(DyckPath, _balanced(2 * n, peak_parity=0))
-    return map(DyckPath, _balanced(2 * n))
+        return map(DyckPath._built, _balanced(2 * n, peak_parity=0))
+    return map(DyckPath._built, _balanced(2 * n))
 
 
 _CATALAN: list[int] = [1]
@@ -156,15 +159,7 @@ class CountRow:
 class CountTable:
     rows: tuple[CountRow, ...]
 
-    columns: ClassVar[tuple[str, ...]] = (
-        "n",
-        "catalan",
-        "odd_count",
-        "motzkin_prev",
-        "even_count",
-        "riordan",
-        "mixed_count",
-    )
+    columns: ClassVar[tuple[str, ...]] = tuple(f.name for f in fields(CountRow))
 
     def to_tsv(self) -> str:
         lines = ["\t".join(self.columns)]

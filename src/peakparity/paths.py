@@ -101,6 +101,14 @@ class _Path:
     def from_text(cls, text: str):
         return cls(text)
 
+    @classmethod
+    def _built(cls, steps: str):
+        # text this package builds step by step is valid by construction;
+        # skipping the check keeps it off every generated path and slice
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
+
     def render(self) -> str:
         return self.steps
 
@@ -219,7 +227,9 @@ def decompose(p: DyckPath) -> tuple[DyckPath, ...]:
     empty path yields the empty tuple.
     """
     cuts = _ground_points(p.steps)
-    return tuple(DyckPath(p.steps[a + 1 : b - 1]) for a, b in zip(cuts, cuts[1:]))
+    return tuple(
+        DyckPath._built(p.steps[a + 1 : b - 1]) for a, b in zip(cuts, cuts[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -248,18 +258,20 @@ class PathStats:
         """(#U - #UU) + (#F - #FU), the peak count transported to an image path."""
         return (self.u_count - self.uu_count) + (self.f_count - self.fu_count)
 
+    keys: ClassVar[tuple[str, ...]] = (
+        "peaks",
+        "ground_returns",
+        "ground_flats",
+        "ground_downs",
+        "u_count",
+        "f_count",
+        "uu_count",
+        "fu_count",
+        "peak_image",
+    )
+
     def as_dict(self) -> dict[str, int]:
-        return {
-            "peaks": self.peaks,
-            "ground_returns": self.ground_returns,
-            "ground_flats": self.ground_flats,
-            "ground_downs": self.ground_downs,
-            "u_count": self.u_count,
-            "f_count": self.f_count,
-            "uu_count": self.uu_count,
-            "fu_count": self.fu_count,
-            "peak_image": self.peak_image,
-        }
+        return {key: getattr(self, key) for key in self.keys}
 
 
 def stats(path: Path) -> PathStats:
@@ -298,7 +310,7 @@ def split_at_ground_flats(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
         raise NotInImage("path does not start with a ground-level flat step")
     cuts = [g for g in _ground_points(text)[:-1] if text[g] == "F"]
     cuts.append(len(text))
-    return tuple(MotzkinPath(text[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return tuple(MotzkinPath._built(text[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def split_at_ground_downs(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
@@ -308,4 +320,4 @@ def split_at_ground_downs(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
     a single arch.  Raises NotInImage if a ground-level flat is present.
     """
     cuts = _arch_bounds(m.steps)
-    return tuple(MotzkinPath(m.steps[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return tuple(MotzkinPath._built(m.steps[a:b]) for a, b in zip(cuts, cuts[1:]))

@@ -134,7 +134,8 @@ def glove_to_tree(p: DyckPath) -> OrderedTree:
 
 def glove_to_dyck(t: OrderedTree) -> DyckPath:
     """Dyck path spelled by traversing the tree, inverse of glove_to_tree."""
-    return DyckPath(t.to_parens().translate(_STEP_FOR_PAREN))
+    # the parentheses form of a valid tree is balanced, so the text is a Dyck path
+    return DyckPath._built(t.to_parens().translate(_STEP_FOR_PAREN))
 
 
 # leaf-distance parities below a node as a mask: 1 even, 2 odd, 3 both;

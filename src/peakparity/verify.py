@@ -1,14 +1,31 @@
 """Exhaustive cross-checks over every path up to a size bound.
 
 Each named check accumulates cases across all sizes 0..max_n and reports
-pass or fail with the first failing case.  The map functions are looked
-up through the bijections module at call time, so replacing one there is
-enough to watch the harness catch the change.
+pass or fail with the first failing case.  For each n one scan walks the
+Motzkin paths and keeps the two target classes; then one pass over the
+Dyck paths runs every per-path check and, on each all-odd or all-even
+path, that side's checks against the same tree and statistics.  What
+differs between the two sides lives in one table, ``_SIDES``.
+
+Each check compares two independent computations:
+- generator counts against the counting formulas, and each pruned class
+  walk against the members the full walk classifies into that class
+- ``decompose`` against ``stats`` (ground returns) and against the
+  components' ``classify`` (parity alternation)
+- the tree's leaf depths against ``peaks``; ``glove_to_dyck`` and
+  ``from_parens`` against the text they invert
+- the recursive, colored-tree and pair-substitution routes against each
+  other, against their inverses and against the target Motzkin class
+- the statistics of each path against those of its image
+
+The map functions are looked up through the bijections module at call
+time, so replacing one there is enough to watch the harness catch the
+change.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from typing import Callable, NamedTuple
 
 from . import bijections
 from .enumeration import (
@@ -22,6 +39,7 @@ from .enumeration import (
 from .paths import (
     DyckPath,
     MotzkinPath,
+    PathStats,
     PeakParityClass,
     classify,
     decompose,
@@ -119,78 +137,57 @@ class _Recorder:
         ]
 
 
-def _scan_dyck(n: int, rec: _Recorder) -> tuple[list[DyckPath], list[DyckPath]]:
-    odd: list[DyckPath] = []
-    even: list[DyckPath] = []
-    mixed = 0
-    total = 0
-    prev = None
-    for p in generate(PathClass.ALL_DYCK, n):
-        total += 1
-        key = lex_key(p)
-        rec.expect("generator-lex-order", prev is None or prev < key, n, p)
-        prev = key
-        rec.expect("parse-render-roundtrip", DyckPath.from_text(p.render()) == p, n, p)
-        comps = decompose(p)
-        rebuilt = "".join("U" + c.steps + "D" for c in comps)
-        rec.expect("decompose-rebuild", rebuilt == p.steps, n, p)
-        rec.expect(
-            "ground-returns-vs-components",
-            stats(p).ground_returns == len(comps),
-            n,
-            p,
-        )
-        cls = classify(p)
-        if cls is PeakParityClass.ALL_ODD:
-            odd.append(p)
-            alternates = all(classify(c) is PeakParityClass.ALL_EVEN for c in comps)
-        elif cls is PeakParityClass.ALL_EVEN:
-            even.append(p)
-            alternates = all(
-                c.steps and classify(c) is PeakParityClass.ALL_ODD for c in comps
-            )
-        else:
-            mixed += 1
-            alternates = True
-        rec.expect("parity-alternation", alternates, n, p)
-        t = glove_to_tree(p)
-        rec.expect("glove-roundtrip", glove_to_dyck(t) == p, n, p)
-        rec.expect(
-            "tree-codec-roundtrip", OrderedTree.from_parens(t.to_parens()) == t, n, p
-        )
-        rec.expect(
-            "leaf-peak-transfer",
-            t.leaf_depths() == [h for _, h in peaks(p)],
-            n,
-            p,
-        )
-    rec.expect_count("generator-count-dyck", n, catalan(n), total)
-    rec.expect_count("class-partition", n, total, len(odd) + len(even) + mixed)
-    rec.expect_count("counting-claim-odd", n, motzkin(n - 1) if n else 0, len(odd))
-    rec.expect_count("counting-claim-even", n, riordan(n), len(even))
-    return odd, even
+class _Side(NamedTuple):
+    """What differs between the all-odd and the all-even half of the checks."""
+
+    letter: str  # names the maps and the a/b checks
+    parity: str  # names the odd/even checks
+    dyck: PathClass
+    motzkin: PathClass
+    size: Callable[[int], int]  # the class size both generators must reach
+    interior: PeakParityClass  # the class of every return-to-ground interior
+    split: Callable[[MotzkinPath], tuple[MotzkinPath, ...]]
+    ground_image: str  # the image statistic that ground returns go to
+    paired: slice  # the steps the pair substitution reads
+    root_color: str  # the one color a root edge may take
 
 
-def _check_class_generators(
-    n: int, rec: _Recorder, odd: list[DyckPath], even: list[DyckPath]
-) -> None:
-    for path_class, bucket in (
-        (PathClass.DYCK_ALL_ODD, odd),
-        (PathClass.DYCK_ALL_EVEN, even),
-    ):
-        for got, want in zip_longest(generate(path_class, n), bucket):
-            if got != want:
-                rec.fail(
-                    "class-generator-consistency",
-                    f"n={n}: {path_class.value} yielded {got}, expected {want}",
-                )
-                return
-            rec.ok("class-generator-consistency")
+_SIDES = {
+    PeakParityClass.ALL_ODD: _Side(
+        letter="a",
+        parity="odd",
+        dyck=PathClass.DYCK_ALL_ODD,
+        motzkin=PathClass.MOTZKIN_START_FLAT,
+        size=lambda n: motzkin(n - 1) if n else 0,
+        interior=PeakParityClass.ALL_EVEN,
+        split=split_at_ground_flats,
+        ground_image="ground_flats",
+        paired=slice(1, -1),
+        root_color="K",
+    ),
+    PeakParityClass.ALL_EVEN: _Side(
+        letter="b",
+        parity="even",
+        dyck=PathClass.DYCK_ALL_EVEN,
+        motzkin=PathClass.MOTZKIN_NO_GROUND_FLAT,
+        size=riordan,
+        interior=PeakParityClass.ALL_ODD,
+        split=split_at_ground_downs,
+        ground_image="ground_downs",
+        paired=slice(None),
+        root_color="B",
+    ),
+}
 
 
-def _scan_motzkin(
-    n: int, rec: _Recorder
-) -> tuple[list[MotzkinPath], list[MotzkinPath]]:
+def _maps(side: _Side) -> tuple[Callable, ...]:
+    """phi, psi, tirrell and its inverse for one side, as bijections holds them now."""
+    names = ("phi_{}", "psi_{}", "tirrell_{}", "tirrell_{}_inv")
+    return tuple(getattr(bijections, name.format(side.letter)) for name in names)
+
+
+def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinPath]]:
+    """Check the Motzkin generators and inverses; return each side's target class."""
     total = 0
     prev = None
     for m in generate(PathClass.ALL_MOTZKIN, n):
@@ -202,129 +199,133 @@ def _scan_motzkin(
             "parse-render-roundtrip", MotzkinPath.from_text(m.render()) == m, n, m
         )
     rec.expect_count("generator-count-motzkin", n, motzkin(n), total)
-    start_flat = list(generate(PathClass.MOTZKIN_START_FLAT, n))
-    no_ground = list(generate(PathClass.MOTZKIN_NO_GROUND_FLAT, n))
-    rec.expect_count(
-        "generator-count-start-flat", n, motzkin(n - 1) if n else 0, len(start_flat)
+    targets = {}
+    for cls, side in _SIDES.items():
+        phi, psi, pair, unpair = _maps(side)
+        targets[cls] = target = list(generate(side.motzkin, n))
+        name = side.motzkin.value.removeprefix("motzkin-")
+        rec.expect_count(f"generator-count-{name}", n, side.size(n), len(target))
+        for m in target:
+            try:
+                inverts = phi(psi(m)) == m and pair(unpair(m)) == m
+                rec.expect(f"inverse-roundtrip-{side.letter}", inverts, n, m)
+                joined = "".join(seg.steps for seg in side.split(m))
+                rec.expect("split-concat", joined == m.steps, n, m)
+                rec.ok("no-unexpected-errors")
+            except Exception as exc:
+                rec.fail("no-unexpected-errors", f"n={n}: {m}: {exc!r}")
+    return targets
+
+
+def _check_member(
+    n: int, rec: _Recorder, side: _Side, p: DyckPath, t: OrderedTree, st: PathStats
+) -> MotzkinPath:
+    """Run one side's checks on a class member; return its phi image."""
+    phi, psi, pair, unpair = _maps(side)
+    m1 = phi(p)
+    m3 = pair(p)
+    back = psi(m1)
+    back_pair = unpair(m3)
+    image = stats(m1)
+    m2 = bijections.explicit_map(p)
+    rec.expect(f"triple-agreement-{side.parity}", m1 == m2 and m2 == m3, n, p)
+    rec.expect("size-preservation", len(m1) == n, n, p)
+    rec.expect(f"roundtrip-recursive-{side.letter}", back == p, n, p)
+    rec.expect(f"roundtrip-pairing-{side.letter}", back_pair == p, n, p)
+    ground_image = getattr(image, side.ground_image)
+    rec.expect("stat-transfer-ground", st.ground_returns == ground_image, n, p)
+    rec.expect("stat-transfer-peaks", st.peaks == image.peak_image, n, p)
+    body = p.steps[side.paired]
+    clean = all(body[k : k + 2] != "UD" for k in range(0, len(body) - 1, 2))
+    rec.expect("no-ud-pairs", clean, n, p)
+    letters = color_edges(t)
+    root_colors = {c for c, up in zip(letters, t.parent) if up == 0}
+    rec.expect("root-edge-colors", root_colors <= {side.root_color}, n, p)
+    counts = [letters.count(c) for c in "BRK"]
+    blue, red, black = counts
+    downs, flats = m1.steps.count("D"), m1.steps.count("F")
+    rec.expect("coloring-counts", blue == red == downs and black == flats, n, p)
+    relocated, moved = relocate_reds(t, letters)
+    rec.expect(
+        "relocation-preservation",
+        relocated.edge_count == t.edge_count
+        and [moved.count(c) for c in "BRK"] == counts,
+        n,
+        p,
     )
-    rec.expect_count("generator-count-no-ground-flat", n, riordan(n), len(no_ground))
-    for m in start_flat:
-        try:
-            rec.expect(
-                "inverse-roundtrip-a",
-                bijections.phi_a(bijections.psi_a(m)) == m
-                and bijections.tirrell_a(bijections.tirrell_a_inv(m)) == m,
-                n,
-                m,
-            )
-            joined = "".join(seg.steps for seg in split_at_ground_flats(m))
-            rec.expect("split-concat", joined == m.steps, n, m)
-            rec.ok("no-unexpected-errors")
-        except Exception as exc:
-            rec.fail("no-unexpected-errors", f"n={n}: {m}: {exc!r}")
-    for m in no_ground:
-        try:
-            rec.expect(
-                "inverse-roundtrip-b",
-                bijections.phi_b(bijections.psi_b(m)) == m
-                and bijections.tirrell_b(bijections.tirrell_b_inv(m)) == m,
-                n,
-                m,
-            )
-            joined = "".join(seg.steps for seg in split_at_ground_downs(m))
-            rec.expect("split-concat", joined == m.steps, n, m)
-            rec.ok("no-unexpected-errors")
-        except Exception as exc:
-            rec.fail("no-unexpected-errors", f"n={n}: {m}: {exc!r}")
-    return start_flat, no_ground
+    rec.expect(
+        "tree-codec-roundtrip",
+        OrderedTree.from_parens(relocated.to_parens()) == relocated,
+        n,
+        p,
+    )
+    return m1
 
 
-def _scan_parity_class(
-    n: int,
-    rec: _Recorder,
-    paths: list[DyckPath],
-    odd_side: bool,
-    expected_image: list[MotzkinPath],
+def _scan_dyck(
+    n: int, rec: _Recorder, targets: dict[PeakParityClass, list[MotzkinPath]]
 ) -> None:
-    if odd_side:
-        triple, rt_rec, rt_pair, image_name = (
-            "triple-agreement-odd",
-            "roundtrip-recursive-a",
-            "roundtrip-pairing-a",
-            "image-odd",
+    """One pass over the Dyck paths: every per-path check, and each member's side."""
+    # the pruned class walks run in step with the full walk's members
+    walks = {cls: generate(side.dyck, n) for cls, side in _SIDES.items()}
+    images: dict[PeakParityClass, set[MotzkinPath]] = {cls: set() for cls in _SIDES}
+    sizes = dict.fromkeys(PeakParityClass, 0)
+    total = 0
+    prev = None
+    for p in generate(PathClass.ALL_DYCK, n):
+        total += 1
+        key = lex_key(p)
+        rec.expect("generator-lex-order", prev is None or prev < key, n, p)
+        prev = key
+        rec.expect("parse-render-roundtrip", DyckPath.from_text(p.render()) == p, n, p)
+        comps = decompose(p)
+        rebuilt = "".join("U" + c.steps + "D" for c in comps)
+        rec.expect("decompose-rebuild", rebuilt == p.steps, n, p)
+        st = stats(p)
+        rec.expect(
+            "ground-returns-vs-components", st.ground_returns == len(comps), n, p
         )
-    else:
-        triple, rt_rec, rt_pair, image_name = (
-            "triple-agreement-even",
-            "roundtrip-recursive-b",
-            "roundtrip-pairing-b",
-            "image-even",
+        cls = classify(p)
+        sizes[cls] += 1
+        side = _SIDES.get(cls)
+        alternates = side is None or all(classify(c) is side.interior for c in comps)
+        rec.expect("parity-alternation", alternates, n, p)
+        t = glove_to_tree(p)
+        rec.expect("glove-roundtrip", glove_to_dyck(t) == p, n, p)
+        rec.expect(
+            "tree-codec-roundtrip", OrderedTree.from_parens(t.to_parens()) == t, n, p
         )
-    images: set[MotzkinPath] = set()
-    for p in paths:
+        rec.expect(
+            "leaf-peak-transfer", t.leaf_depths() == [h for _, h in peaks(p)], n, p
+        )
+        if side is None:
+            continue
+        got = next(walks[cls], None)
+        walked = f"{side.dyck.value} yielded {got}, expected {p}"
+        rec.expect("class-generator-consistency", got == p, n, walked)
         try:
-            if odd_side:
-                m1 = bijections.phi_a(p)
-                m3 = bijections.tirrell_a(p)
-                back = bijections.psi_a(m1)
-                back_pair = bijections.tirrell_a_inv(m3)
-                ground_image = stats(m1).ground_flats
-                body = p.steps[1:-1]
-            else:
-                m1 = bijections.phi_b(p)
-                m3 = bijections.tirrell_b(p)
-                back = bijections.psi_b(m1)
-                back_pair = bijections.tirrell_b_inv(m3)
-                ground_image = stats(m1).ground_downs
-                body = p.steps
-            m2 = bijections.explicit_map(p)
-            rec.expect(triple, m1 == m2 and m2 == m3, n, p)
-            rec.expect("size-preservation", len(m1) == n, n, p)
-            rec.expect(rt_rec, back == p, n, p)
-            rec.expect(rt_pair, back_pair == p, n, p)
-            st = stats(p)
-            rec.expect("stat-transfer-ground", st.ground_returns == ground_image, n, p)
-            rec.expect("stat-transfer-peaks", st.peaks == stats(m1).peak_image, n, p)
-            clean = all(body[k : k + 2] != "UD" for k in range(0, len(body) - 1, 2))
-            rec.expect("no-ud-pairs", clean, n, p)
-            t = glove_to_tree(p)
-            letters = color_edges(t)
-            root_colors = {c for c, up in zip(letters, t.parent) if up == 0}
-            wanted = {"K"} if odd_side else {"B"}
-            rec.expect("root-edge-colors", root_colors <= wanted, n, p)
-            counts = [letters.count(c) for c in "BRK"]
-            blue, red, black = counts
-            downs = m1.steps.count("D")
-            flats = m1.steps.count("F")
-            rec.expect(
-                "coloring-counts", blue == red == downs and black == flats, n, p
-            )
-            relocated, moved = relocate_reds(t, letters)
-            rec.expect(
-                "relocation-preservation",
-                relocated.edge_count == t.edge_count
-                and [moved.count(c) for c in "BRK"] == counts,
-                n,
-                p,
-            )
-            rec.expect(
-                "tree-codec-roundtrip",
-                OrderedTree.from_parens(relocated.to_parens()) == relocated,
-                n,
-                p,
-            )
-            images.add(m1)
+            images[cls].add(_check_member(n, rec, side, p, t, st))
             rec.ok("no-unexpected-errors")
         except Exception as exc:
             rec.fail("no-unexpected-errors", f"n={n}: {p}: {exc!r}")
-    if images == set(expected_image):
-        rec.ok(image_name, cases=max(len(paths), 1))
-    else:
-        rec.fail(
-            image_name,
-            f"n={n}: {len(images)} distinct images, expected class of size "
-            f"{len(expected_image)}",
-        )
+    rec.expect_count("generator-count-dyck", n, catalan(n), total)
+    rec.expect_count("class-partition", n, total, sum(sizes.values()))
+    for cls, side in _SIDES.items():
+        extra = next(walks[cls], None)
+        if extra is not None:
+            rec.fail(
+                "class-generator-consistency",
+                f"n={n}: {side.dyck.value} yielded {extra}, expected None",
+            )
+        rec.expect_count(f"counting-claim-{side.parity}", n, side.size(n), sizes[cls])
+        if images[cls] == set(targets[cls]):
+            rec.ok(f"image-{side.parity}", cases=max(sizes[cls], 1))
+        else:
+            rec.fail(
+                f"image-{side.parity}",
+                f"n={n}: {len(images[cls])} distinct images, expected class of size "
+                f"{len(targets[cls])}",
+            )
 
 
 def run_verification(max_n: int) -> list[CheckResult]:
@@ -333,11 +334,7 @@ def run_verification(max_n: int) -> list[CheckResult]:
         raise ValueError("max_n must be nonnegative")
     rec = _Recorder()
     for n in range(max_n + 1):
-        start_flat, no_ground = _scan_motzkin(n, rec)
-        odd, even = _scan_dyck(n, rec)
-        _check_class_generators(n, rec, odd, even)
-        _scan_parity_class(n, rec, odd, True, start_flat)
-        _scan_parity_class(n, rec, even, False, no_ground)
+        _scan_dyck(n, rec, _scan_motzkin(n, rec))
     return rec.results()
 
 

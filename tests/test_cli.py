@@ -11,11 +11,17 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from peakparity import DyckPath, MotzkinPath, cli
+from peakparity import DyckPath, MotzkinPath, cli, run_verification
 from peakparity import bijections as bij
+
+# every verify check's case count at the pinned sizes, shared with the benchmark
+_VERIFY_CASES = json.loads(
+    (Path(__file__).parents[1] / "bench" / "verify_cases.json").read_text()
+)
 
 
 def run_cli(argv, capsys):
@@ -310,6 +316,12 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 35
         assert all(r["passed"] for r in records)
+
+    @pytest.mark.parametrize("n", sorted(_VERIFY_CASES, key=int))
+    def test_case_counts_pinned(self, n):
+        results = run_verification(int(n))
+        assert [(r.name, r.cases) for r in results] == list(_VERIFY_CASES[n].items())
+        assert all(r.passed for r in results)
 
 
 def test_module_entry_point():

@@ -23,12 +23,10 @@ from peakparity import (
     PeakParityClass,
     UnbalancedPath,
     classify,
-    decompose,
     peaks,
-    split_at_ground_downs,
-    split_at_ground_flats,
     stats,
 )
+from peakparity.paths import decompose, split_at_ground_downs, split_at_ground_flats
 
 
 class TestParseRender:
@@ -255,9 +253,10 @@ class TestDecompose:
     def test_two_components(self):
         assert decompose(d("UUDDUD")) == (d("UD"), DyckPath())
 
-    def test_interiors_are_valid_paths(self):
-        for interior in decompose(d("UUDUDDUUDD")):
-            assert isinstance(interior, DyckPath)
+    @given(dyck_paths())
+    def test_interiors_are_valid_paths(self, p):
+        for interior in decompose(p):
+            assert interior == DyckPath(interior.steps)
 
     @given(dyck_paths())
     def test_rebuild_identity(self, p):
@@ -388,12 +387,14 @@ class TestSplits:
         segments = split_at_ground_flats(prefixed)
         assert "".join(s.steps for s in segments) == prefixed.steps
         assert all(s.steps[0] == "F" for s in segments)
+        assert all(s == MotzkinPath(s.steps) for s in segments)
 
     @given(motzkin_paths())
     def test_down_split_concat_identity(self, path):
         arched = MotzkinPath("U" + path.steps + "D")
         segments = split_at_ground_downs(arched)
         assert "".join(s.steps for s in segments) == arched.steps
+        assert all(s == MotzkinPath(s.steps) for s in segments)
         for seg in segments:
             assert seg.steps[0] == "U"
             assert seg.steps[-1] == "D"

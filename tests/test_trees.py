@@ -19,6 +19,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import d, dyck_paths, m
 from peakparity import (
@@ -41,6 +42,18 @@ from peakparity import (
 )
 
 _PARENS = str.maketrans("UD", "()")
+
+
+@st.composite
+def _parent_arrays(draw, max_edges: int = 20) -> list[int]:
+    """A preorder parent array: each node hangs off the last one or its ancestor."""
+    parent: list[int] = []
+    path = [0]  # root to the node numbered last
+    for node in range(1, draw(st.integers(0, max_edges)) + 1):
+        del path[len(path) - draw(st.integers(0, len(path) - 1)) :]
+        parent.append(path[-1])
+        path.append(node)
+    return parent
 
 
 def _top_level(text: str):
@@ -163,6 +176,11 @@ class TestGlove:
     @given(dyck_paths())
     def test_roundtrip(self, p):
         assert glove_to_dyck(glove_to_tree(p)) == p
+
+    @given(_parent_arrays())
+    def test_inverse_is_valid_path(self, parent):
+        p = glove_to_dyck(OrderedTree(parent))
+        assert p == DyckPath(p.steps)
 
     @given(dyck_paths())
     def test_leaf_heights_are_peak_heights(self, p):
