@@ -8,10 +8,10 @@ length n with no ground-level flat step at all.
 
 phi_a and phi_b unroll the paper's recursion on the return-to-ground
 factorization into one pass over the steps, psi_a and psi_b invert them
-in one pass, explicit_map goes through the colored-tree rewrite in one
-shot, and the tirrell maps substitute adjacent step pairs directly.
-The routes agree pointwise; the verification module checks that
-exhaustively.
+in one pass, explicit_a and explicit_b go through the colored-tree
+rewrite in one shot, and the tirrell maps substitute adjacent step pairs
+directly.  The routes agree pointwise; the verification module checks
+that exhaustively.
 """
 from __future__ import annotations
 
@@ -31,15 +31,12 @@ from enum import Enum
 class WrongParityClass(PeakParityError):
     """The input Dyck path is not in the peak-parity class this map accepts."""
 
-    def __init__(self, actual: PeakParityClass, expected=()):
+    def __init__(self, actual: PeakParityClass, expected: PeakParityClass):
         self.actual = actual
-        self.expected = tuple(expected)
-        if self.expected:
-            wanted = " or ".join(c.value for c in self.expected)
-            msg = f"path classifies as {actual.value}, this map needs {wanted}"
-        else:
-            msg = f"path classifies as {actual.value}"
-        super().__init__(msg)
+        self.expected = expected
+        super().__init__(
+            f"path classifies as {actual.value}, this map needs {expected.value}"
+        )
 
 
 class UnexpectedUDPair(PeakParityError):
@@ -58,11 +55,10 @@ class InvalidExpansion(PeakParityError):
     """Pair expansion produced a step sequence that is not a Dyck path."""
 
 
-def _require_class(p: DyckPath, *expected: PeakParityClass) -> PeakParityClass:
+def _require_class(p: DyckPath, expected: PeakParityClass) -> None:
     actual = classify(p)
-    if actual not in expected:
+    if actual is not expected:
         raise WrongParityClass(actual, expected)
-    return actual
 
 
 def _phi(text: str, on_a: bool) -> MotzkinPath:
@@ -151,25 +147,18 @@ def _explicit(p: DyckPath) -> MotzkinPath:
     return walk_to_motzkin(relocated, transported)
 
 
-def explicit_map(p: DyckPath) -> MotzkinPath:
-    """One-shot route through the colored tree, defined on both pure classes.
-
-    Agrees with phi_a on all-odd inputs and with phi_b on all-even inputs.
-    Mixed-parity paths are rejected before any tree work: their trees have
-    edges without a well-defined parity.
-    """
-    _require_class(p, PeakParityClass.ALL_ODD, PeakParityClass.ALL_EVEN)
-    return _explicit(p)
-
-
 def explicit_a(p: DyckPath) -> MotzkinPath:
-    """explicit_map restricted to all-odd inputs."""
+    """One-shot route through the colored tree on all-odd inputs; agrees with phi_a.
+
+    Other inputs are rejected before any tree work: a mixed path's tree
+    has edges without a well-defined parity.
+    """
     _require_class(p, PeakParityClass.ALL_ODD)
     return _explicit(p)
 
 
 def explicit_b(p: DyckPath) -> MotzkinPath:
-    """explicit_map restricted to all-even inputs."""
+    """The colored-tree route on all-even inputs; agrees with phi_b."""
     _require_class(p, PeakParityClass.ALL_EVEN)
     return _explicit(p)
 
@@ -243,21 +232,11 @@ class MapKind(Enum):
 
     @property
     def takes_dyck(self) -> bool:
-        """True when the map consumes Dyck paths, False for Motzkin input."""
-        return self in _DYCK_INPUT
+        """True when the map consumes Dyck paths; psi-* and *-inv read Motzkin paths."""
+        return not (self.value.startswith("psi") or self.value.endswith("-inv"))
 
 
-_DYCK_INPUT = frozenset(
-    {
-        MapKind.PHI_A,
-        MapKind.PHI_B,
-        MapKind.EXPLICIT_A,
-        MapKind.EXPLICIT_B,
-        MapKind.TIRRELL_A,
-        MapKind.TIRRELL_B,
-    }
-)
-
+# the one place a map direction is looked up: apply_map and verify read it
 _IMPLEMENTATION = {
     MapKind.PHI_A: phi_a,
     MapKind.PHI_B: phi_b,

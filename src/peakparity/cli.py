@@ -3,12 +3,15 @@
 Exit status 0 on success, 1 when an input fails validation or falls
 outside a map's domain, or a verification run finds a failing check,
 and 2 when the command line itself is malformed.  A rejected stdin
-line is named by its number.
+line is named by its number.  When the reader closes the output pipe
+early (``peakparity enumerate ... | head``), the command stops quietly
+with exit status 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Iterator
@@ -58,6 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=_FORMATS, default="plain")
 
+    def add_map(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--map",
+            dest="map_kind",
+            required=True,
+            choices=[k.value for k in MapKind],
+        )
+
     def add_path(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "path",
@@ -69,20 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("convert", help="apply one of the maps to a path")
-    p.add_argument(
-        "--map",
-        dest="map_kind",
-        required=True,
-        choices=[k.value for k in MapKind],
-    )
+    p.set_defaults(run=_cmd_convert)
+    add_map(p)
     add_format(p)
     add_path(p)
 
     p = sub.add_parser("classify", help="report the peak-parity class of a Dyck path")
+    p.set_defaults(run=_cmd_classify)
     add_format(p)
     add_path(p)
 
     p = sub.add_parser("enumerate", help="list every path of a class at one size")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument(
         "--class",
         dest="path_class",
@@ -95,24 +104,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "count", help="tabulate class sizes against their counting formulas"
     )
+    p.set_defaults(run=_cmd_count)
     p.add_argument("--max-n", type=_positive, required=True)
     add_format(p)
 
     p = sub.add_parser(
         "stats", help="apply a map and report step statistics of input and output"
     )
-    p.add_argument(
-        "--map",
-        dest="map_kind",
-        required=True,
-        choices=[k.value for k in MapKind],
-    )
+    p.set_defaults(run=_cmd_stats)
+    add_map(p)
     add_format(p)
     add_path(p)
 
     p = sub.add_parser(
         "verify", help="run every exhaustive cross-check up to a size bound"
     )
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--max-n", type=_nonnegative, required=True)
     add_format(p)
 
@@ -131,16 +138,13 @@ def _input_texts(args: argparse.Namespace) -> Iterator[str]:
         yield args.path
 
 
-def _parse_for(kind: MapKind, text: str):
-    return DyckPath(text) if kind.takes_dyck else MotzkinPath(text)
-
-
 def _cmd_convert(args: argparse.Namespace) -> int:
     kind = MapKind(args.map_kind)
+    parse = DyckPath if kind.takes_dyck else MotzkinPath
     if args.format == "tsv":
         print("input\toutput")
     for text in _input_texts(args):
-        result = apply_map(kind, _parse_for(kind, text))
+        result = apply_map(kind, parse(text))
         if args.format == "plain":
             print(result.render())
         elif args.format == "tsv":
@@ -191,13 +195,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     kind = MapKind(args.map_kind)
+    parse = DyckPath if kind.takes_dyck else MotzkinPath
     if args.format == "tsv":
         header = ["map", "input", "output"]
         header += [f"input_{k}" for k in PathStats.keys]
         header += [f"output_{k}" for k in PathStats.keys]
         print("\t".join(header))
     for text in _input_texts(args):
-        path = _parse_for(kind, text)
+        path = parse(text)
         result = apply_map(kind, path)
         source = stats(path).as_dict()
         target = stats(result).as_dict()
@@ -225,39 +230,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(args.max_n)
     if args.format == "json-lines":
         for r in results:
-            print(
-                json.dumps(
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "cases": r.cases,
-                        "detail": r.detail,
-                    }
-                )
-            )
+            print(json.dumps(asdict(r)))
     else:
         print(format_report(results, args.max_n))
     return 0 if all(r.passed for r in results) else 1
-
-
-_HANDLERS = {
-    "convert": _cmd_convert,
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-    "count": _cmd_count,
-    "stats": _cmd_stats,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.line = None
     try:
-        return _HANDLERS[args.command](args)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
     except PeakParityError as exc:
         where = "" if args.line is None else f"line {args.line}: "
         print(f"peakparity: error: {where}{exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # cannot fail again (the recipe of the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

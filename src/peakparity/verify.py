@@ -18,9 +18,9 @@ Each check compares two independent computations:
   other, against their inverses and against the target Motzkin class
 - the statistics of each path against those of its image
 
-The map functions are looked up through the bijections module at call
-time, so replacing one there is enough to watch the harness catch the
-change.
+The maps are read from ``bijections._IMPLEMENTATION`` at call time, the
+table ``apply_map`` and the CLI run, so replacing an entry there is
+enough to watch the harness catch the change.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import bijections
+from .bijections import MapKind
 from .enumeration import (
     PathClass,
     catalan,
@@ -105,42 +106,39 @@ class CheckResult:
 
 class _Recorder:
     def __init__(self):
-        self._passed = {name: True for name in CHECK_NAMES}
-        self._cases = {name: 0 for name in CHECK_NAMES}
-        self._detail = {name: "" for name in CHECK_NAMES}
+        self._results = {name: CheckResult(name, True, 0) for name in CHECK_NAMES}
 
     def ok(self, name: str, cases: int = 1) -> None:
-        self._cases[name] += cases
+        self._results[name].cases += cases
 
     def fail(self, name: str, detail: str) -> None:
-        self._cases[name] += 1
-        if self._passed[name]:
-            self._passed[name] = False
-            self._detail[name] = detail
+        r = self._results[name]
+        r.cases += 1
+        if r.passed:
+            r.passed = False
+            r.detail = detail
 
     def expect(self, name: str, condition: bool, n: int, subject) -> None:
         if condition:
-            self._cases[name] += 1
+            self._results[name].cases += 1
         else:
             self.fail(name, f"n={n}: {subject}")
 
     def expect_count(self, name: str, n: int, expected: int, actual: int) -> None:
         if expected == actual:
-            self._cases[name] += 1
+            self._results[name].cases += 1
         else:
             self.fail(name, f"n={n}: expected {expected}, got {actual}")
 
     def results(self) -> list[CheckResult]:
-        return [
-            CheckResult(name, self._passed[name], self._cases[name], self._detail[name])
-            for name in CHECK_NAMES
-        ]
+        return list(self._results.values())
 
 
 class _Side(NamedTuple):
     """What differs between the all-odd and the all-even half of the checks."""
 
-    letter: str  # names the maps and the a/b checks
+    letter: str  # names the a/b checks
+    maps: tuple[MapKind, ...]  # phi, psi, explicit, tirrell and its inverse
     parity: str  # names the odd/even checks
     dyck: PathClass
     motzkin: PathClass
@@ -155,6 +153,13 @@ class _Side(NamedTuple):
 _SIDES = {
     PeakParityClass.ALL_ODD: _Side(
         letter="a",
+        maps=(
+            MapKind.PHI_A,
+            MapKind.PSI_A,
+            MapKind.EXPLICIT_A,
+            MapKind.TIRRELL_A,
+            MapKind.TIRRELL_A_INV,
+        ),
         parity="odd",
         dyck=PathClass.DYCK_ALL_ODD,
         motzkin=PathClass.MOTZKIN_START_FLAT,
@@ -167,6 +172,13 @@ _SIDES = {
     ),
     PeakParityClass.ALL_EVEN: _Side(
         letter="b",
+        maps=(
+            MapKind.PHI_B,
+            MapKind.PSI_B,
+            MapKind.EXPLICIT_B,
+            MapKind.TIRRELL_B,
+            MapKind.TIRRELL_B_INV,
+        ),
         parity="even",
         dyck=PathClass.DYCK_ALL_EVEN,
         motzkin=PathClass.MOTZKIN_NO_GROUND_FLAT,
@@ -181,9 +193,8 @@ _SIDES = {
 
 
 def _maps(side: _Side) -> tuple[Callable, ...]:
-    """phi, psi, tirrell and its inverse for one side, as bijections holds them now."""
-    names = ("phi_{}", "psi_{}", "tirrell_{}", "tirrell_{}_inv")
-    return tuple(getattr(bijections, name.format(side.letter)) for name in names)
+    """One side's maps, as the map table holds them now."""
+    return tuple(bijections._IMPLEMENTATION[kind] for kind in side.maps)
 
 
 def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinPath]]:
@@ -201,7 +212,7 @@ def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinP
     rec.expect_count("generator-count-motzkin", n, motzkin(n), total)
     targets = {}
     for cls, side in _SIDES.items():
-        phi, psi, pair, unpair = _maps(side)
+        phi, psi, _, pair, unpair = _maps(side)
         targets[cls] = target = list(generate(side.motzkin, n))
         name = side.motzkin.value.removeprefix("motzkin-")
         rec.expect_count(f"generator-count-{name}", n, side.size(n), len(target))
@@ -221,13 +232,13 @@ def _check_member(
     n: int, rec: _Recorder, side: _Side, p: DyckPath, t: OrderedTree, st: PathStats
 ) -> MotzkinPath:
     """Run one side's checks on a class member; return its phi image."""
-    phi, psi, pair, unpair = _maps(side)
+    phi, psi, explicit, pair, unpair = _maps(side)
     m1 = phi(p)
     m3 = pair(p)
     back = psi(m1)
     back_pair = unpair(m3)
     image = stats(m1)
-    m2 = bijections.explicit_map(p)
+    m2 = explicit(p)
     rec.expect(f"triple-agreement-{side.parity}", m1 == m2 and m2 == m3, n, p)
     rec.expect("size-preservation", len(m1) == n, n, p)
     rec.expect(f"roundtrip-recursive-{side.letter}", back == p, n, p)

@@ -25,7 +25,6 @@ from peakparity import (
     classify,
     explicit_a,
     explicit_b,
-    explicit_map,
     generate,
     phi_a,
     phi_b,
@@ -160,12 +159,14 @@ class TestInverses:
 class TestExplicit:
     @pytest.mark.parametrize("source,image", ODD_PAIRS + EVEN_PAIRS)
     def test_values(self, source, image):
-        assert explicit_map(d(source)) == m(image)
+        explicit = explicit_a if (source, image) in ODD_PAIRS else explicit_b
+        assert explicit(d(source)) == m(image)
 
     def test_rejects_mixed(self):
-        with pytest.raises(WrongParityClass) as exc:
-            explicit_map(d("UUDDUD"))
-        assert exc.value.actual is PeakParityClass.MIXED
+        for explicit in (explicit_a, explicit_b):
+            with pytest.raises(WrongParityClass) as exc:
+                explicit(d("UUDDUD"))
+            assert exc.value.actual is PeakParityClass.MIXED
 
     def test_restricted_variants(self):
         assert explicit_a(d("UD")) == m("F")
@@ -177,11 +178,11 @@ class TestExplicit:
 
     @given(odd_dyck_paths())
     def test_agrees_with_phi_a(self, p):
-        assert explicit_map(p) == phi_a(p)
+        assert explicit_a(p) == phi_a(p)
 
     @given(even_dyck_paths())
     def test_agrees_with_phi_b(self, p):
-        assert explicit_map(p) == phi_b(p)
+        assert explicit_b(p) == phi_b(p)
 
 
 class TestTirrell:
@@ -262,9 +263,9 @@ class TestAgreementExhaustive:
     def test_triple_agreement_small(self):
         for n in range(8):
             for p in generate(PathClass.DYCK_ALL_ODD, n):
-                assert phi_a(p) == explicit_map(p) == tirrell_a(p)
+                assert phi_a(p) == explicit_a(p) == tirrell_a(p)
             for p in generate(PathClass.DYCK_ALL_EVEN, n):
-                assert phi_b(p) == explicit_map(p) == tirrell_b(p)
+                assert phi_b(p) == explicit_b(p) == tirrell_b(p)
 
     def test_images_small(self):
         for n in range(8):

@@ -2,8 +2,8 @@
 
 Exit code contract: 0 success, 1 for domain or validation failures
 (including a failed verification run), 2 for malformed command lines.
-The mutation tests at the bottom patch one map at a time and require the
-verify subcommand to catch every single one.
+The mutation tests at the bottom patch one entry of the map table at a
+time and require the verify subcommand to catch every single one.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from peakparity import DyckPath, MotzkinPath, cli, run_verification
+from peakparity import DyckPath, MapKind, MotzkinPath, cli, run_verification
 from peakparity import bijections as bij
 
 # every verify check's case count at the pinned sizes, shared with the benchmark
@@ -335,6 +335,24 @@ def test_module_entry_point():
     assert result.stdout == "UFD\n"
 
 
+def test_closed_pipe_exits_quietly():
+    # the reader stops after one of 208,012 lines, like `| head -1`
+    argv = ["enumerate", "--class", "all-dyck", "--n", "12"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "peakparity", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == "U" * 12 + "D" * 12 + "\n"
+    assert "Traceback" not in err
+
+
 def _pad_motzkin(fn):
     def bad(p):
         real = fn(p)
@@ -368,23 +386,32 @@ def _wrap_dyck(fn):
 
 
 class TestMutationSmoke:
-    """Patching any single map must make `verify` exit 1."""
+    """Patching any single entry of the map table must make `verify` exit 1."""
 
     MUTATIONS = [
-        ("phi_a", _pad_motzkin),
-        ("phi_b", _prepend_flat),
-        ("explicit_map", _reverse_motzkin),
-        ("tirrell_a", _pad_motzkin),
-        ("tirrell_b", _pad_motzkin),
-        ("psi_a", _wrap_dyck),
-        ("psi_b", _wrap_dyck),
-        ("tirrell_a_inv", _wrap_dyck),
-        ("tirrell_b_inv", _wrap_dyck),
+        (MapKind.PHI_A, _pad_motzkin),
+        (MapKind.PHI_B, _prepend_flat),
+        (MapKind.PSI_A, _wrap_dyck),
+        (MapKind.PSI_B, _wrap_dyck),
+        (MapKind.EXPLICIT_A, _reverse_motzkin),
+        (MapKind.EXPLICIT_B, _reverse_motzkin),
+        (MapKind.TIRRELL_A, _pad_motzkin),
+        (MapKind.TIRRELL_B, _pad_motzkin),
+        (MapKind.TIRRELL_A_INV, _wrap_dyck),
+        (MapKind.TIRRELL_B_INV, _wrap_dyck),
     ]
 
-    @pytest.mark.parametrize("attr,wrapper", MUTATIONS, ids=[a for a, _ in MUTATIONS])
-    def test_mutation_caught(self, attr, wrapper, monkeypatch, capsys):
-        monkeypatch.setattr(bij, attr, wrapper(getattr(bij, attr)))
+    def test_every_kind_mutated(self):
+        assert {kind for kind, _ in self.MUTATIONS} == set(MapKind)
+
+    @pytest.mark.parametrize(
+        "kind,wrapper",
+        MUTATIONS,
+        ids=[kind.value.replace("-", "_") for kind, _ in MUTATIONS],
+    )
+    def test_mutation_caught(self, kind, wrapper, monkeypatch, capsys):
+        table = bij._IMPLEMENTATION
+        monkeypatch.setitem(table, kind, wrapper(table[kind]))
         rc = cli.main(["verify", "--max-n", "4"])
         out = capsys.readouterr().out
         assert rc == 1

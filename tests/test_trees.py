@@ -30,7 +30,8 @@ from peakparity import (
     PathClass,
     classify,
     color_edges,
-    explicit_map,
+    explicit_a,
+    explicit_b,
     generate,
     glove_to_dyck,
     glove_to_tree,
@@ -405,19 +406,19 @@ class TestLargeTrees:
     """Every stage is one loop, so depth and width are limited by memory."""
 
     @pytest.mark.parametrize(
-        "text,pairing",
+        "text,pairing,explicit",
         [
-            ("U" * 100_001 + "D" * 100_001, tirrell_a),
-            ("U" * 100_000 + "D" * 100_000, tirrell_b),
-            ("UD" * 100_000, tirrell_a),
-            ("UUDD" * 50_000, tirrell_b),
+            ("U" * 100_001 + "D" * 100_001, tirrell_a, explicit_a),
+            ("U" * 100_000 + "D" * 100_000, tirrell_b, explicit_b),
+            ("UD" * 100_000, tirrell_a, explicit_a),
+            ("UUDD" * 50_000, tirrell_b, explicit_b),
         ],
         ids=["odd-chain", "even-chain", "odd-wide", "even-wide"],
     )
-    def test_stages_agree_with_pairing(self, text, pairing):
+    def test_stages_agree_with_pairing(self, text, pairing, explicit):
         p = DyckPath(text)
         want = pairing(p)
         t = glove_to_tree(p)
         relocated, moved = relocate_reds(t, color_edges(t))
         assert walk_to_motzkin(relocated, moved) == want
-        assert explicit_map(p) == want
+        assert explicit(p) == want
