@@ -6,16 +6,16 @@ back out.  On trees whose leaves all sit at depths of one parity, each
 edge gets a well-defined parity (the parity of the edge count from its
 lower endpoint down to any leaf below it).  Odd-parity edges are colored
 blue, the leftmost child edge of each blue edge is colored red, and the
-rest are black.  After red edges are relocated, reading the tree in
-preorder and emitting U for blue, D for red, F for black produces the
-same Motzkin path as the recursive maps.
+rest are black.  Each red edge is then relocated, alone, to the right
+end of its parent's children; reading the tree in preorder and emitting
+U for blue, D for red, F for black gives the recursive maps' Motzkin path.
 
 A tree is one flat array: nodes are numbered in preorder with the root
 as 0, and edge i joins node i + 1 to its parent ``parent[i]``.  So edges
 are numbered in preorder too, and a coloring is a plain string with one
 letter per edge in that order: B (blue), R (red) or K (black).  Every
-pass below is a loop over these arrays; none recurses, so tree depth is
-limited only by memory.
+pass below is a loop over these arrays, and relocation takes just one;
+none recurses, so tree depth is limited only by memory.
 """
 from __future__ import annotations
 
@@ -63,8 +63,8 @@ class OrderedTree:
 
     @classmethod
     def _built(cls, parent: list[int]) -> "OrderedTree":
-        # arrays this module builds in preorder are valid by construction;
-        # skipping the check keeps it off every tree the explicit route makes
+        # arrays this module builds in preorder or reads off a DyckPath are
+        # valid by construction; skipping the check keeps it off the hot path
         tree = object.__new__(cls)
         object.__setattr__(tree, "parent", tuple(parent))
         return tree
@@ -79,43 +79,40 @@ class OrderedTree:
 
     def leaf_depths(self) -> list[int]:
         """Depth of each leaf, left to right."""
-        parent = self.parent
         depth = [0]
-        for p in parent:
+        for p in self.parent:
             depth.append(depth[p] + 1)
         # in preorder a node's first child, if any, directly follows it
-        return [
-            depth[v] for v in range(len(depth)) if v == len(parent) or parent[v] != v
-        ]
+        return [depth[v] for v, q in enumerate((*self.parent, -1)) if q != v]
 
     def to_parens(self) -> str:
         """Balanced-parentheses form; the single-node tree renders as ''."""
-        pieces: list[str] = []
-        stack = [0]
-        for node, p in enumerate(self.parent, 1):
-            while stack[-1] != p:
-                stack.pop()
-                pieces.append(")")
-            pieces.append("(")
-            stack.append(node)
-        pieces.append(")" * (len(stack) - 1))
-        return "".join(pieces)
+        # the ")" run before each node's "(", then the run after the last node
+        depth = [0]
+        closes: list[str] = []
+        for p in self.parent:
+            closes.append(")" * (depth[-1] - depth[p]))
+            depth.append(depth[p] + 1)
+        closes.append(")" * depth[-1])
+        return "(".join(closes)
 
     @classmethod
     def from_parens(cls, text: str) -> "OrderedTree":
         parent: list[int] = []
-        stack = [0]
+        last = [0] * (len(text) + 1)  # node opened last at each depth
+        depth = 0
         for i, ch in enumerate(text):
             if ch == "(":
-                parent.append(stack[-1])
-                stack.append(len(parent))
+                parent.append(last[depth])
+                depth += 1
+                last[depth] = len(parent)
             elif ch == ")":
-                if len(stack) == 1:
+                if not depth:
                     raise ValueError(f"unmatched ')' at position {i}")
-                stack.pop()
+                depth -= 1
             else:
                 raise ValueError(f"invalid character {ch!r} at position {i}")
-        if len(stack) > 1:
+        if depth:
             raise ValueError("unmatched '(' at end of input")
         return cls._built(parent)
 
@@ -123,13 +120,22 @@ class OrderedTree:
         return f"OrderedTree.from_parens({self.to_parens()!r})"
 
 
-_PARENS_FOR_STEP = str.maketrans("UD", "()")
 _STEP_FOR_PAREN = str.maketrans("()", "UD")
 
 
 def glove_to_tree(p: DyckPath) -> OrderedTree:
     """Tree whose traversal spells the given Dyck path."""
-    return OrderedTree.from_parens(p.steps.translate(_PARENS_FOR_STEP))
+    parent: list[int] = []
+    last = [0] * (len(p.steps) // 2 + 1)  # node opened last at each height
+    height = 0
+    for step in p.steps:
+        if step == "U":
+            parent.append(last[height])
+            height += 1
+            last[height] = len(parent)
+        else:
+            height -= 1
+    return OrderedTree._built(parent)
 
 
 def glove_to_dyck(t: OrderedTree) -> DyckPath:
@@ -199,34 +205,28 @@ def relocate_reds(t: OrderedTree, letters: str) -> tuple[OrderedTree, str]:
     right end.  Node count, edge count and the color multiset are all
     preserved, with colors following their edges.  Returns the
     renumbered tree and its letters in the new preorder.
+
+    One preorder pass: a red node emits nothing, its children hang where
+    it would have, and it joins there as a leaf after its parent's subtree.
     """
     _check_letters(t, letters)
-    children: list[list[int]] = [[] for _ in range(t.node_count)]
-    for v, p in enumerate(t.parent, 1):
-        children[p].append(v)
-    # reverse preorder: each child list is final before its parent's
-    for v in range(t.edge_count, -1, -1):
-        kept: list[int] = []
-        reds: list[int] = []
-        for c in children[v]:
-            if letters[c - 1] == "R":
-                kept.extend(children[c])
-                children[c] = []
-                reds.append(c)
-            else:
-                kept.append(c)
-        children[v] = kept + reds
     parent: list[int] = []
     moved: list[str] = []
-    stack = [(c, 0) for c in reversed(children[0])]
-    while stack:
-        v, p = stack.pop()
-        parent.append(p)
-        moved.append(letters[v - 1])
-        here = len(parent)
-        for c in reversed(children[v]):
-            stack.append((c, here))
-    return OrderedTree._built(parent), "".join(moved)
+    attach = [0] * t.node_count  # new node each original node's children hang from
+    waiting = [-1]  # the parent of each red edge not yet emitted, in preorder
+    for v, (p, letter) in enumerate(zip(t.parent, letters), 1):
+        while waiting[-1] > p:
+            parent.append(attach[waiting.pop()])
+            moved.append("R")
+        if letter == "R":
+            waiting.append(p)
+            attach[v] = attach[p]
+        else:
+            parent.append(attach[p])
+            moved.append(letter)
+            attach[v] = len(parent)
+    parent.extend(attach[u] for u in reversed(waiting[1:]))
+    return OrderedTree._built(parent), "".join(moved) + "R" * (len(waiting) - 1)
 
 
 _STEP_FOR_LETTER = str.maketrans("BRK", "UDF")

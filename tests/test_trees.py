@@ -145,6 +145,20 @@ class TestOrderedTree:
         with pytest.raises(ValueError):
             OrderedTree.from_parens("(x)")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("())", "unmatched ')' at position 2"),
+            ("())x", "unmatched ')' at position 2"),
+            ("(x))", "invalid character 'x' at position 1"),
+            ("(()", "unmatched '(' at end of input"),
+        ],
+    )
+    def test_first_error_by_position(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            OrderedTree.from_parens(text)
+        assert str(exc.value) == message
+
     def test_edges_preorder(self):
         # edge i joins node i + 1 to parent[i]; nodes are numbered in preorder
         assert OrderedTree.from_parens("((())())(())").parent == (0, 1, 2, 1, 0, 5)
@@ -177,6 +191,13 @@ class TestGlove:
     @given(dyck_paths())
     def test_roundtrip(self, p):
         assert glove_to_dyck(glove_to_tree(p)) == p
+
+    @given(dyck_paths())
+    def test_trusted_build_is_valid(self, p):
+        # glove_to_tree skips the parent-array check; the checked routes agree
+        t = glove_to_tree(p)
+        assert t == OrderedTree(t.parent)
+        assert t == OrderedTree.from_parens(p.steps.translate(_PARENS))
 
     @given(_parent_arrays())
     def test_inverse_is_valid_path(self, parent):
@@ -345,6 +366,22 @@ class TestRelocateReds:
                     assert got == _relocate_oracle(parens, letters), (parens, letters)
                     cases += 1
         assert cases == 11_496
+
+    @given(st.data())
+    def test_random_colorings_match_nested_rule(self, data):
+        # deep enough for long red-under-red chains, which 5 edges never reach
+        parent = data.draw(_parent_arrays(max_edges=40))
+        letters = data.draw(st.text("BRK", min_size=len(parent), max_size=len(parent)))
+        t = OrderedTree(parent)
+        relocated, moved = relocate_reds(t, letters)
+        assert (relocated.to_parens(), moved) == _relocate_oracle(t.to_parens(), letters)
+
+    def test_all_red_chain_becomes_star(self):
+        # every node of the chain waits on the stack until the very end
+        chain = OrderedTree(range(100_000))
+        relocated, moved = relocate_reds(chain, "R" * 100_000)
+        assert relocated == OrderedTree((0,) * 100_000)
+        assert moved == "R" * 100_000
 
     def test_conservation_exhaustive_small(self):
         for n in range(7):
