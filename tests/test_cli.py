@@ -30,6 +30,287 @@ def run_cli(argv, capsys):
     return rc, captured.out, captured.err
 
 
+_STATS_HEADER = "\t".join(
+    ["map", "input", "output"]
+    + [
+        f"{side}_{key}"
+        for side in ("input", "output")
+        for key in (
+            "peaks",
+            "ground_returns",
+            "ground_flats",
+            "ground_downs",
+            "u_count",
+            "f_count",
+            "uu_count",
+            "fu_count",
+            "peak_image",
+        )
+    ]
+)
+_STATS_PHI_B = (
+    '{"map": "phi-b", "input": "UUDUDD", "output": "UFD", "input_stats": '
+    '{"peaks": 2, "ground_returns": 1, "ground_flats": 0, "ground_downs": 1, '
+    '"u_count": 3, "f_count": 0, "uu_count": 1, "fu_count": 0, "peak_image": 2}, '
+    '"output_stats": {"peaks": 0, "ground_returns": 1, "ground_flats": 0, '
+    '"ground_downs": 1, "u_count": 1, "f_count": 1, "uu_count": 0, "fu_count": 0, '
+    '"peak_image": 2}}\n'
+)
+_STATS_PHI_A = (
+    '{"map": "phi-a", "input": "UD", "output": "F", "input_stats": '
+    '{"peaks": 1, "ground_returns": 1, "ground_flats": 0, "ground_downs": 1, '
+    '"u_count": 1, "f_count": 0, "uu_count": 0, "fu_count": 0, "peak_image": 1}, '
+    '"output_stats": {"peaks": 0, "ground_returns": 0, "ground_flats": 1, '
+    '"ground_downs": 0, "u_count": 0, "f_count": 1, "uu_count": 0, "fu_count": 0, '
+    '"peak_image": 1}}\n'
+)
+_COUNT_TSV = (
+    "n\tcatalan\todd_count\tmotzkin_prev\teven_count\triordan\tmixed_count\n"
+    "1\t1\t1\t1\t0\t0\t0\n"
+    "2\t2\t1\t1\t1\t1\t0\n"
+    "3\t5\t2\t2\t1\t1\t2\n"
+)
+_LINE_2_BAD_STEP = "peakparity: error: line 2: invalid step character 'X' at position 1\n"
+_LINE_2_EVEN = (
+    "peakparity: error: line 2: path classifies as all-even, this map needs all-odd\n"
+)
+
+# (id, argv without --format, stdin, exit code, stderr, stdout per format)
+_GOLDEN = [
+    (
+        "convert-stdin",
+        ["convert", "--map", "phi-b", "-"],
+        "UUDD\n\nUUDUDD\n",
+        0,
+        "",
+        {
+            "plain": "UD\n\nUFD\n",
+            "tsv": "input\toutput\nUUDD\tUD\n\t\nUUDUDD\tUFD\n",
+            "json-lines": (
+                '{"map": "phi-b", "input": "UUDD", "output": "UD"}\n'
+                '{"map": "phi-b", "input": "", "output": ""}\n'
+                '{"map": "phi-b", "input": "UUDUDD", "output": "UFD"}\n'
+            ),
+        },
+    ),
+    (
+        "convert-line-2-rejected",
+        ["convert", "--map", "phi-a", "-"],
+        "UUUDDD\nUXD\nUD\n",
+        1,
+        _LINE_2_BAD_STEP,
+        {
+            "plain": "FUD\n",
+            "tsv": "input\toutput\nUUUDDD\tFUD\n",
+            "json-lines": '{"map": "phi-a", "input": "UUUDDD", "output": "FUD"}\n',
+        },
+    ),
+    (
+        "convert-inverse-arg",
+        ["convert", "--map", "psi-a", "FUD"],
+        "",
+        0,
+        "",
+        {
+            "plain": "UUUDDD\n",
+            "tsv": "input\toutput\nFUD\tUUUDDD\n",
+            "json-lines": '{"map": "psi-a", "input": "FUD", "output": "UUUDDD"}\n',
+        },
+    ),
+    (
+        "convert-empty-token",
+        ["convert", "--map", "phi-b", "@"],
+        "",
+        0,
+        "",
+        {
+            "plain": "\n",
+            "tsv": "input\toutput\n\t\n",
+            "json-lines": '{"map": "phi-b", "input": "", "output": ""}\n',
+        },
+    ),
+    (
+        "classify-stdin",
+        ["classify", "-"],
+        "UD\n\nUDUUDD\n",
+        0,
+        "",
+        {
+            "plain": "all-odd\nall-even\nmixed\n",
+            "tsv": "input\tclass\nUD\tall-odd\n\tall-even\nUDUUDD\tmixed\n",
+            "json-lines": (
+                '{"input": "UD", "class": "all-odd"}\n'
+                '{"input": "", "class": "all-even"}\n'
+                '{"input": "UDUUDD", "class": "mixed"}\n'
+            ),
+        },
+    ),
+    (
+        "classify-motzkin-text",
+        ["classify", "UFD"],
+        "",
+        1,
+        "peakparity: error: flat step at position 1 is not allowed here\n",
+        {"plain": "", "tsv": "input\tclass\n", "json-lines": ""},
+    ),
+    (
+        "enumerate",
+        ["enumerate", "--class", "dyck-all-odd", "--n", "3"],
+        "",
+        0,
+        "",
+        {
+            "plain": "UUUDDD\nUDUDUD\n",
+            "tsv": "path\nUUUDDD\nUDUDUD\n",
+            "json-lines": '{"path": "UUUDDD"}\n{"path": "UDUDUD"}\n',
+        },
+    ),
+    (
+        "enumerate-empty-class",
+        ["enumerate", "--class", "dyck-all-odd", "--n", "0"],
+        "",
+        0,
+        "",
+        {"plain": "", "tsv": "path\n", "json-lines": ""},
+    ),
+    (
+        "count",
+        ["count", "--max-n", "3"],
+        "",
+        0,
+        "",
+        {
+            "plain": _COUNT_TSV,
+            "tsv": _COUNT_TSV,
+            "json-lines": (
+                '{"n": 1, "catalan": 1, "odd_count": 1, "motzkin_prev": 1, '
+                '"even_count": 0, "riordan": 0, "mixed_count": 0}\n'
+                '{"n": 2, "catalan": 2, "odd_count": 1, "motzkin_prev": 1, '
+                '"even_count": 1, "riordan": 1, "mixed_count": 0}\n'
+                '{"n": 3, "catalan": 5, "odd_count": 2, "motzkin_prev": 2, '
+                '"even_count": 1, "riordan": 1, "mixed_count": 2}\n'
+            ),
+        },
+    ),
+    (
+        "stats",
+        ["stats", "--map", "phi-b", "UUDUDD"],
+        "",
+        0,
+        "",
+        {
+            "plain": _STATS_PHI_B,
+            "tsv": _STATS_HEADER
+            + "\nphi-b\tUUDUDD\tUFD\t2\t1\t0\t1\t3\t0\t1\t0\t2\t0\t1\t0\t1\t1\t1\t0\t0\t2\n",
+            "json-lines": _STATS_PHI_B,
+        },
+    ),
+    (
+        "stats-line-2-rejected",
+        ["stats", "--map", "phi-a", "-"],
+        "UD\nUUDD\n",
+        1,
+        _LINE_2_EVEN,
+        {
+            "plain": _STATS_PHI_A,
+            "tsv": _STATS_HEADER
+            + "\nphi-a\tUD\tF\t1\t1\t0\t1\t1\t0\t0\t0\t1\t0\t0\t1\t0\t0\t1\t0\t0\t1\n",
+            "json-lines": _STATS_PHI_A,
+        },
+    ),
+]
+
+# verify --max-n 1: each check's case count, and its detail once phi-a is padded
+_VERIFY_N1 = [
+    ("generator-lex-order", 4, ""),
+    ("generator-count-dyck", 2, ""),
+    ("generator-count-motzkin", 2, ""),
+    ("generator-count-start-flat", 2, ""),
+    ("generator-count-no-ground-flat", 2, ""),
+    ("class-generator-consistency", 2, ""),
+    ("parse-render-roundtrip", 4, ""),
+    ("class-partition", 2, ""),
+    ("counting-claim-odd", 2, ""),
+    ("counting-claim-even", 2, ""),
+    ("decompose-rebuild", 2, ""),
+    ("ground-returns-vs-components", 2, ""),
+    ("parity-alternation", 2, ""),
+    ("glove-roundtrip", 2, ""),
+    ("tree-codec-roundtrip", 4, ""),
+    ("leaf-peak-transfer", 2, ""),
+    ("root-edge-colors", 2, ""),
+    ("coloring-counts", 2, "n=1: UD"),
+    ("relocation-preservation", 2, ""),
+    ("triple-agreement-odd", 1, "n=1: UD"),
+    ("triple-agreement-even", 1, ""),
+    ("size-preservation", 2, "n=1: UD"),
+    ("image-odd", 2, "n=1: 1 distinct images, expected class of size 1"),
+    ("image-even", 2, ""),
+    ("roundtrip-recursive-a", 1, "n=1: UD"),
+    ("roundtrip-recursive-b", 1, ""),
+    ("roundtrip-pairing-a", 1, ""),
+    ("roundtrip-pairing-b", 1, ""),
+    ("inverse-roundtrip-a", 1, "n=1: F"),
+    ("inverse-roundtrip-b", 1, ""),
+    ("split-concat", 2, ""),
+    ("stat-transfer-ground", 2, "n=1: UD"),
+    ("stat-transfer-peaks", 2, "n=1: UD"),
+    ("no-ud-pairs", 2, ""),
+    ("no-unexpected-errors", 4, ""),
+]
+
+
+def _verify_golden(padded: bool) -> tuple[str, str]:
+    """The plain report and the json-lines records of verify --max-n 1."""
+    plain, records = [], []
+    for name, cases, detail in _VERIFY_N1:
+        detail = detail if padded else ""
+        if detail:
+            plain.append(f"FAIL {name} ({cases} cases): {detail}\n")
+        else:
+            plain.append(f"PASS {name} ({cases} cases)\n")
+        records.append(
+            f'{{"name": "{name}", "passed": {"false" if detail else "true"}, '
+            f'"cases": {cases}, "detail": "{detail}"}}\n'
+        )
+    plain.append(
+        "verify: 8 of 35 checks FAILED for n = 0..1\n"
+        if padded
+        else "verify: 35/35 checks passed for n = 0..1\n"
+    )
+    return "".join(plain), "".join(records)
+
+
+class TestGolden:
+    """Exact stdout, stderr and exit code of every command in every format.
+
+    `count` prints its tsv table as plain, `stats` prints json-lines as
+    plain, and `verify --format tsv` prints the plain report.
+    """
+
+    @pytest.mark.parametrize("fmt", ["plain", "tsv", "json-lines"])
+    @pytest.mark.parametrize(
+        "argv,stdin,code,err,outs",
+        [case[1:] for case in _GOLDEN],
+        ids=[case[0] for case in _GOLDEN],
+    )
+    def test_command(self, argv, stdin, code, err, outs, fmt, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        argv = [argv[0], "--format", fmt, *argv[1:]]
+        assert run_cli(argv, capsys) == (code, outs[fmt], err)
+
+    @pytest.mark.parametrize("fmt", ["plain", "tsv", "json-lines"])
+    @pytest.mark.parametrize("padded", [False, True], ids=["pass", "fail"])
+    def test_verify(self, padded, fmt, capsys, monkeypatch):
+        if padded:
+            table = bij._IMPLEMENTATION
+            monkeypatch.setitem(table, MapKind.PHI_A, _pad_motzkin(table[MapKind.PHI_A]))
+        plain, records = _verify_golden(padded)
+        out = records if fmt == "json-lines" else plain
+        argv = ["verify", "--format", fmt, "--max-n", "1"]
+        assert run_cli(argv, capsys) == (int(padded), out, "")
+
+
 class TestConvert:
     def test_single(self, capsys):
         rc, out, err = run_cli(["convert", "--map", "phi-a", "UUUDDD"], capsys)
