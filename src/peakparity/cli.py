@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Each command builds its output as a lazy stream of records (dicts) and
+prints it through one writer, ``_write``, as json-lines, as tsv under a
+header of named columns, or in the command's plain form.
+
 Exit status 0 on success, 1 when an input fails validation or falls
 outside a map's domain, or a verification run finds a failing check,
 and 2 when the command line itself is malformed.  A rejected stdin
@@ -13,20 +17,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
-from typing import Iterator
+from dataclasses import asdict, fields
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .bijections import MapKind, apply_map
-from .enumeration import PathClass, count_table, generate
+from .enumeration import CountRow, PathClass, count_table, generate
 from .paths import (
     DyckPath,
     MotzkinPath,
+    Path,
     PathStats,
     PeakParityError,
     classify,
     stats,
 )
-from .verify import format_report, run_verification
+from .verify import run_verification
 
 _FORMATS = ("plain", "tsv", "json-lines")
 
@@ -138,102 +144,100 @@ def _input_texts(args: argparse.Namespace) -> Iterator[str]:
         yield args.path
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _write(
+    fmt: str, records: Iterable[dict], columns: Sequence[str] = (), plain=None
+) -> None:
+    """Print records as json-lines, as tsv under a header of the columns, or
+    plain: the lines plain(records) makes, or else the last column of each."""
+    if fmt == "json-lines":
+        lines = map(json.dumps, records)
+    elif fmt == "tsv":
+        print("\t".join(columns))
+        lines = ("\t".join(str(r[c]) for c in columns) for r in records)
+    else:
+        lines = plain(records) if plain else map(itemgetter(columns[-1]), records)
+    for line in lines:
+        print(line)
+
+
+def _images(args: argparse.Namespace) -> Iterator[tuple[Path, Path]]:
+    """Each input path with its image under the map args.map_kind names."""
     kind = MapKind(args.map_kind)
     parse = DyckPath if kind.takes_dyck else MotzkinPath
-    if args.format == "tsv":
-        print("input\toutput")
     for text in _input_texts(args):
-        result = apply_map(kind, parse(text))
-        if args.format == "plain":
-            print(result.render())
-        elif args.format == "tsv":
-            print(f"{text}\t{result.render()}")
-        else:
-            print(
-                json.dumps(
-                    {"map": kind.value, "input": text, "output": result.render()}
-                )
-            )
+        path = parse(text)
+        yield path, apply_map(kind, path)
+
+
+def _cmd_convert(args: argparse.Namespace) -> int:
+    records = (
+        {"map": args.map_kind, "input": path.render(), "output": image.render()}
+        for path, image in _images(args)
+    )
+    _write(args.format, records, ("input", "output"))
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if args.format == "tsv":
-        print("input\tclass")
-    for text in _input_texts(args):
-        label = classify(DyckPath.from_text(text)).value
-        if args.format == "plain":
-            print(label)
-        elif args.format == "tsv":
-            print(f"{text}\t{label}")
-        else:
-            print(json.dumps({"input": text, "class": label}))
+    records = (
+        {"input": text, "class": classify(DyckPath.from_text(text)).value}
+        for text in _input_texts(args)
+    )
+    _write(args.format, records, ("input", "class"))
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.format == "tsv":
-        print("path")
-    for path in generate(PathClass(args.path_class), args.n):
-        if args.format == "json-lines":
-            print(json.dumps({"path": path.render()}))
-        else:
-            print(path.render())
+    paths = generate(PathClass(args.path_class), args.n)
+    records = ({"path": path.render()} for path in paths)
+    _write(args.format, records, ("path",))
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    table = count_table(args.max_n)
-    if args.format == "json-lines":
-        for row in table.rows:
-            print(json.dumps(asdict(row)))
-    else:
-        sys.stdout.write(table.to_tsv())
+    rows = map(asdict, count_table(args.max_n))
+    fmt = "tsv" if args.format == "plain" else args.format
+    _write(fmt, rows, [f.name for f in fields(CountRow)])
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    kind = MapKind(args.map_kind)
-    parse = DyckPath if kind.takes_dyck else MotzkinPath
-    if args.format == "tsv":
-        header = ["map", "input", "output"]
-        header += [f"input_{k}" for k in PathStats.keys]
-        header += [f"output_{k}" for k in PathStats.keys]
-        print("\t".join(header))
-    for text in _input_texts(args):
-        path = parse(text)
-        result = apply_map(kind, path)
-        source = stats(path).as_dict()
-        target = stats(result).as_dict()
-        if args.format == "tsv":
-            row = [kind.value, path.render(), result.render()]
-            row += [str(source[k]) for k in PathStats.keys]
-            row += [str(target[k]) for k in PathStats.keys]
-            print("\t".join(row))
-        else:
-            print(
-                json.dumps(
-                    {
-                        "map": kind.value,
-                        "input": path.render(),
-                        "output": result.render(),
-                        "input_stats": source,
-                        "output_stats": target,
-                    }
-                )
-            )
+    sides = ("input", "output")
+    columns = ["map", *sides] + [f"{s}_{k}" for s in sides for k in PathStats.keys]
+
+    def records() -> Iterator[dict]:
+        for path, image in _images(args):
+            record = dict(map=args.map_kind, input=path.render(), output=image.render())
+            for side, p in zip(sides, (path, image)):
+                values = stats(p).as_dict()
+                if args.format == "tsv":
+                    record.update((f"{side}_{k}", v) for k, v in values.items())
+                else:
+                    record[f"{side}_stats"] = values
+            yield record
+
+    fmt = "json-lines" if args.format == "plain" else args.format
+    _write(fmt, records(), columns)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(args.max_n)
-    if args.format == "json-lines":
-        for r in results:
-            print(json.dumps(asdict(r)))
-    else:
-        print(format_report(results, args.max_n))
-    return 0 if all(r.passed for r in results) else 1
+    failed = sum(not r.passed for r in results)
+    total = len(results)
+
+    def report(records: Iterable[dict]) -> Iterator[str]:
+        for r in records:
+            line = f"{r['name']} ({r['cases']} cases)"
+            yield f"PASS {line}" if r["passed"] else f"FAIL {line}: {r['detail']}"
+        if failed:
+            yield f"verify: {failed} of {total} checks FAILED for n = 0..{args.max_n}"
+        else:
+            yield f"verify: {total}/{total} checks passed for n = 0..{args.max_n}"
+
+    fmt = "plain" if args.format == "tsv" else args.format
+    _write(fmt, map(asdict, results), plain=report)
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

@@ -8,9 +8,9 @@ piece of code agreeing with itself.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, Union
+from typing import Iterator, Union
 
 from .paths import (
     DyckPath,
@@ -155,20 +155,7 @@ class CountRow:
     mixed_count: int
 
 
-@dataclass(frozen=True)
-class CountTable:
-    rows: tuple[CountRow, ...]
-
-    columns: ClassVar[tuple[str, ...]] = tuple(f.name for f in fields(CountRow))
-
-    def to_tsv(self) -> str:
-        lines = ["\t".join(self.columns)]
-        for row in self.rows:
-            lines.append("\t".join(str(v) for v in astuple(row)))
-        return "\n".join(lines) + "\n"
-
-
-def count_table(max_n: int) -> CountTable:
+def count_table(max_n: int) -> tuple[CountRow, ...]:
     """Exhaustive class counts for semilengths 1 through max_n.
 
     Every row is checked against the counting formulas on the way out;
@@ -196,4 +183,4 @@ def count_table(max_n: int) -> CountTable:
         if even != row.riordan:
             raise ClaimViolation(n, "riordan", row.riordan, even)
         rows.append(row)
-    return CountTable(tuple(rows))
+    return tuple(rows)

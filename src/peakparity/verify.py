@@ -347,23 +347,3 @@ def run_verification(max_n: int) -> list[CheckResult]:
     for n in range(max_n + 1):
         _scan_dyck(n, rec, _scan_motzkin(n, rec))
     return rec.results()
-
-
-def format_report(results: list[CheckResult], max_n: int) -> str:
-    lines = []
-    failed = 0
-    for r in results:
-        if r.passed:
-            lines.append(f"PASS {r.name} ({r.cases} cases)")
-        else:
-            failed += 1
-            lines.append(f"FAIL {r.name} ({r.cases} cases): {r.detail}")
-    if failed:
-        lines.append(
-            f"verify: {failed} of {len(results)} checks FAILED for n = 0..{max_n}"
-        )
-    else:
-        lines.append(
-            f"verify: {len(results)}/{len(results)} checks passed for n = 0..{max_n}"
-        )
-    return "\n".join(lines)

@@ -70,7 +70,9 @@ _COUNT_TSV = (
     "2\t2\t1\t1\t1\t1\t0\n"
     "3\t5\t2\t2\t1\t1\t2\n"
 )
-_LINE_2_BAD_STEP = "peakparity: error: line 2: invalid step character 'X' at position 1\n"
+_LINE_2_BAD_STEP = (
+    "peakparity: error: line 2: invalid step character 'X' at position 1\n"
+)
 _LINE_2_EVEN = (
     "peakparity: error: line 2: path classifies as all-even, this map needs all-odd\n"
 )
@@ -201,7 +203,8 @@ _GOLDEN = [
         {
             "plain": _STATS_PHI_B,
             "tsv": _STATS_HEADER
-            + "\nphi-b\tUUDUDD\tUFD\t2\t1\t0\t1\t3\t0\t1\t0\t2\t0\t1\t0\t1\t1\t1\t0\t0\t2\n",
+            + "\nphi-b\tUUDUDD\tUFD\t2\t1\t0\t1\t3\t0\t1\t0\t2"
+            + "\t0\t1\t0\t1\t1\t1\t0\t0\t2\n",
             "json-lines": _STATS_PHI_B,
         },
     ),
@@ -214,7 +217,8 @@ _GOLDEN = [
         {
             "plain": _STATS_PHI_A,
             "tsv": _STATS_HEADER
-            + "\nphi-a\tUD\tF\t1\t1\t0\t1\t1\t0\t0\t0\t1\t0\t0\t1\t0\t0\t1\t0\t0\t1\n",
+            + "\nphi-a\tUD\tF\t1\t1\t0\t1\t1\t0\t0\t0\t1"
+            + "\t0\t0\t1\t0\t0\t1\t0\t0\t1\n",
             "json-lines": _STATS_PHI_A,
         },
     ),
@@ -304,7 +308,8 @@ class TestGolden:
     def test_verify(self, padded, fmt, capsys, monkeypatch):
         if padded:
             table = bij._IMPLEMENTATION
-            monkeypatch.setitem(table, MapKind.PHI_A, _pad_motzkin(table[MapKind.PHI_A]))
+            padded_phi_a = _pad_motzkin(table[MapKind.PHI_A])
+            monkeypatch.setitem(table, MapKind.PHI_A, padded_phi_a)
         plain, records = _verify_golden(padded)
         out = records if fmt == "json-lines" else plain
         argv = ["verify", "--format", fmt, "--max-n", "1"]
