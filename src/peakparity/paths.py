@@ -19,6 +19,18 @@ from typing import ClassVar, Union
 class PeakParityError(Exception):
     """Base class for every domain error raised by this package."""
 
+    def __reduce__(self):
+        # Exception's own pickling calls the class with self.args, which
+        # fails or doubles the message when __init__ takes other parameters
+        return _rebuild_error, (type(self), self.args, self.__dict__)
+
+
+def _rebuild_error(cls, args, attributes):
+    """Unpickle a domain error without running its __init__."""
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(attributes)
+    return exc
+
 
 class InvalidCharacter(PeakParityError):
     """A character outside the step alphabet was found while parsing."""

@@ -7,6 +7,13 @@ Dyck paths runs every per-path check and, on each all-odd or all-even
 path, that side's checks against the same tree and statistics.  What
 differs between the two sides lives in one table, ``_SIDES``.
 
+The sizes are independent, so they run side by side: the largest in the
+calling process, the others in forked workers, one per other usable CPU
+(every size runs in the calling process when only one CPU is usable).
+The per-size results are merged in n order, so the cases are summed and
+each check keeps the failure of the smallest failing n, exactly as one
+sequential run would report them.
+
 Each check compares two independent computations:
 - generator counts against the counting formulas, and each pruned class
   walk against the members the full walk classifies into that class
@@ -20,10 +27,14 @@ Each check compares two independent computations:
 
 The maps are read from ``bijections._IMPLEMENTATION`` at call time, the
 table ``apply_map`` and the CLI run, so replacing an entry there is
-enough to watch the harness catch the change.
+enough to watch the harness catch the change.  The workers are forked,
+not spawned, so they check the table as the caller left it, patched
+entries included.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -129,6 +140,15 @@ class _Recorder:
             self._results[name].cases += 1
         else:
             self.fail(name, f"n={n}: expected {expected}, got {actual}")
+
+    def merge(self, results: list[CheckResult]) -> None:
+        """Add the results of a later size, keeping the earliest failure."""
+        for r in results:
+            total = self._results[r.name]
+            total.cases += r.cases
+            if total.passed and not r.passed:
+                total.passed = False
+                total.detail = r.detail
 
     def results(self) -> list[CheckResult]:
         return list(self._results.values())
@@ -339,11 +359,52 @@ def _scan_dyck(
             )
 
 
+def _verify_size(n: int) -> list[CheckResult]:
+    """Every check's results at size n alone."""
+    rec = _Recorder()
+    _scan_dyck(n, rec, _scan_motzkin(n, rec))
+    return rec.results()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _verify_sizes(max_n: int) -> list[list[CheckResult]]:
+    """Each size's results, in n order.
+
+    The largest size runs in this process.  The others, largest first,
+    run in forked workers, one per other usable CPU; a forked worker sees
+    the map table as it is here, patches included.  With one usable CPU,
+    no fork, or another thread running (a fork could copy a lock that
+    thread holds), every size runs here.
+    """
+    workers = min(_usable_cpus() - 1, max_n)
+    if workers < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_verify_size(n) for n in range(max_n + 1)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        pending = {n: pool.submit(_verify_size, n) for n in reversed(range(max_n))}
+        try:
+            largest = _verify_size(max_n)
+        except Exception:
+            # a run in n order raises a smaller size's error first
+            for n in range(max_n):
+                pending[n].result()
+            raise
+        return [pending[n].result() for n in range(max_n)] + [largest]
+
+
 def run_verification(max_n: int) -> list[CheckResult]:
     """Run every registered check for all sizes 0..max_n."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     rec = _Recorder()
-    for n in range(max_n + 1):
-        _scan_dyck(n, rec, _scan_motzkin(n, rec))
+    for results in _verify_sizes(max_n):
+        rec.merge(results)
     return rec.results()

@@ -9,13 +9,26 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from peakparity import DyckPath, MapKind, MotzkinPath, cli, run_verification
+from peakparity import (
+    DyckPath,
+    MapKind,
+    MotzkinPath,
+    PeakParityClass,
+    WrongParityClass,
+    classify,
+    cli,
+    run_verification,
+    verify,
+)
 from peakparity import bijections as bij
 
 # every verify check's case count at the pinned sizes, shared with the benchmark
@@ -609,6 +622,75 @@ class TestVerify:
         assert [(r.name, r.cases) for r in results] == list(_VERIFY_CASES[n].items())
         assert all(r.passed for r in results)
 
+
+class TestVerifyWorkers:
+    """Sizes below max_n run in forked workers, one per other usable CPU;
+    the records and errors must be those of a run in this process."""
+
+    @staticmethod
+    def _forks(monkeypatch, cpus: int) -> list[int]:
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        forks: list[int] = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["as-is", "mutated"])
+    @pytest.mark.parametrize("max_n", range(8))
+    def test_workers_agree_with_in_process(self, max_n, mutated, monkeypatch):
+        if mutated:
+            table = bij._IMPLEMENTATION
+            monkeypatch.setitem(table, MapKind.PHI_A, _pad_motzkin(table[MapKind.PHI_A]))
+        runs = {}
+        for cpus in (1, 3):
+            forks = self._forks(monkeypatch, cpus)
+            runs[cpus] = [asdict(r) for r in run_verification(max_n)]
+            assert len(forks) == min(cpus - 1, max_n)
+        assert runs[3] == runs[1]
+        failed = [r for r in runs[1] if not r["passed"]]
+        # phi-a fails at every n >= 1; the detail is the one from n = 1
+        assert bool(failed) == (mutated and max_n > 0)
+        assert all(r["detail"].startswith("n=1: ") for r in failed)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        forks = self._forks(monkeypatch, 3)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            results = run_verification(3)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert [(r.name, r.cases) for r in results] == list(_VERIFY_CASES["3"].items())
+
+    @pytest.mark.parametrize("upto", [3, 4], ids=["workers", "workers-and-caller"])
+    def test_worker_error_is_raised_as_in_process(self, upto, monkeypatch, capsys):
+        glove_to_tree = verify.glove_to_tree
+
+        def failing(p):
+            # the first path of each n differs in class: UD, UUDD, UUUDDD
+            if 0 < len(p) <= 2 * upto:
+                raise WrongParityClass(classify(p), PeakParityClass.MIXED)
+            return glove_to_tree(p)
+
+        monkeypatch.setattr(verify, "glove_to_tree", failing)
+        raised, printed = {}, {}
+        for cpus in (1, 3):
+            self._forks(monkeypatch, cpus)
+            with pytest.raises(WrongParityClass) as exc:
+                run_verification(4)
+            raised[cpus] = type(exc.value), str(exc.value)
+            printed[cpus] = run_cli(["verify", "--max-n", "4"], capsys)
+        assert raised[3] == raised[1]
+        assert raised[1] == (
+            WrongParityClass,
+            "path classifies as all-odd, this map needs mixed",
+        )
+        assert printed[3] == printed[1]
+        assert printed[1] == (1, "", f"peakparity: error: {raised[1][1]}\n")
 
 def test_module_entry_point():
     result = subprocess.run(

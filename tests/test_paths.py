@@ -6,8 +6,12 @@ Core behaviors pinned here:
   of height 0 by convention and its literal peak count in stats() is 0
 - decompose splits at returns to ground and the interiors alternate
   parity class within a pure-parity path
+- every domain error of the package survives pickling, as it must to
+  come back from a verify worker process
 """
 from __future__ import annotations
+
+import pickle
 
 import pytest
 from hypothesis import given
@@ -15,13 +19,20 @@ from hypothesis import given
 from conftest import d, dyck_paths, m, motzkin_paths
 from peakparity import (
     BelowGround,
+    ClaimViolation,
     ContainsFlat,
     DyckPath,
+    IllDefinedParity,
     InvalidCharacter,
+    InvalidExpansion,
+    InvalidMotzkinOutput,
     MotzkinPath,
     NotInImage,
     PeakParityClass,
+    PeakParityError,
     UnbalancedPath,
+    UnexpectedUDPair,
+    WrongParityClass,
     classify,
     peaks,
     stats,
@@ -398,3 +409,38 @@ class TestSplits:
         for seg in segments:
             assert seg.steps[0] == "U"
             assert seg.steps[-1] == "D"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# one instance of every domain error, each built by its own constructor
+_ERRORS = [
+    InvalidCharacter(3, "x"),
+    ContainsFlat(4),
+    UnbalancedPath(2),
+    BelowGround(1),
+    NotInImage("path does not start with a ground-level flat step"),
+    WrongParityClass(PeakParityClass.ALL_ODD, PeakParityClass.ALL_EVEN),
+    UnexpectedUDPair(5),
+    InvalidExpansion("expanded steps are not a Dyck path"),
+    IllDefinedParity(4),
+    InvalidMotzkinOutput("walk ends at level 1"),
+    ClaimViolation(7, "riordan", 36, 35),
+]
+
+
+class TestErrorPickling:
+    def test_every_error_listed(self):
+        assert {type(e) for e in _ERRORS} == set(_subclasses(PeakParityError))
+
+    @pytest.mark.parametrize("exc", _ERRORS, ids=lambda e: type(e).__name__)
+    def test_roundtrip(self, exc):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert back.args == exc.args
+        assert vars(back) == vars(exc)
