@@ -10,18 +10,21 @@ phi_a and phi_b unroll the paper's recursion on the return-to-ground
 factorization into one pass over the steps, psi_a and psi_b invert them
 in one pass, explicit_a and explicit_b go through the colored-tree
 rewrite in one shot, and the tirrell maps substitute adjacent step pairs
-directly.  The routes agree pointwise; the verification module checks
-that exhaustively.
+directly.  The pair rule is fixed-width, so the tirrell maps and their
+inverses run as whole-string byte and str operations with no Python
+loop per step; phi and psi stay step-by-step passes, so that the routes
+still check each other.  The routes agree pointwise; the verification
+module checks that exhaustively.
 """
 from __future__ import annotations
 
 from .paths import (
+    BelowGround,
     DyckPath,
     MotzkinPath,
     NotInImage,
     PeakParityClass,
     PeakParityError,
-    _arch_bounds,
     classify,
 )
 from .trees import color_edges, glove_to_tree, relocate_reds, walk_to_motzkin
@@ -163,20 +166,28 @@ def explicit_b(p: DyckPath) -> MotzkinPath:
     return _explicit(p)
 
 
-_PAIR_IMAGE = {"UU": "U", "DU": "F", "DD": "D"}
-
 _EXPAND_PAIRS = str.maketrans({"U": "UU", "F": "DU", "D": "DD"})
+
+# a pair's code is its first step's (U 0, D 1) plus its second step's
+# (U 0, D 2); the codes fit in a byte each, so adding the two rows of
+# codes as integers adds every pair at once without carries
+_FIRST_STEP_CODE = bytes.maketrans(b"UD", b"\x00\x01")
+_SECOND_STEP_CODE = bytes.maketrans(b"UD", b"\x00\x02")
+_UD_PAIR = 2
+_PAIR_IMAGE = bytes.maketrans(b"\x00\x01\x03", b"UFD")
 
 
 def _substitute_pairs(text: str) -> str:
     # even length is the caller's responsibility
-    out = []
-    for k in range(0, len(text), 2):
-        image = _PAIR_IMAGE.get(text[k : k + 2])
-        if image is None:
-            raise UnexpectedUDPair(k // 2)
-        out.append(image)
-    return "".join(out)
+    steps = text.encode("ascii")
+    codes = (
+        int.from_bytes(steps[0::2].translate(_FIRST_STEP_CODE), "big")
+        + int.from_bytes(steps[1::2].translate(_SECOND_STEP_CODE), "big")
+    ).to_bytes(len(steps) // 2, "big")
+    bad = codes.find(_UD_PAIR)
+    if bad >= 0:
+        raise UnexpectedUDPair(bad)
+    return codes.translate(_PAIR_IMAGE).decode("ascii")
 
 
 def _expanded_dyck(text: str) -> DyckPath:
@@ -212,8 +223,14 @@ def tirrell_a_inv(m: MotzkinPath) -> DyckPath:
 
 def tirrell_b_inv(m: MotzkinPath) -> DyckPath:
     """Invert tirrell_b.  Rejects paths with ground-level flats."""
-    _arch_bounds(m.steps)  # raises NotInImage at a ground-level flat
-    return _expanded_dyck(m.steps.translate(_EXPAND_PAIRS))
+    try:
+        return DyckPath(m.steps.translate(_EXPAND_PAIRS))
+    except BelowGround as exc:
+        # the expansion is at twice the Motzkin level after each pair, so
+        # only a ground flat, F -> DU at level 0, dips below: first at 2g
+        raise NotInImage(
+            f"flat step at ground level at position {exc.position // 2}"
+        ) from None
 
 
 class MapKind(Enum):

@@ -203,13 +203,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     sides = ("input", "output")
-    columns = ["map", *sides] + [f"{s}_{k}" for s in sides for k in PathStats.keys]
+    # the stored statistics in field order, each derived one after its base
+    names = [f.name for f in fields(PathStats)]
+    names.insert(names.index("ground_flats") + 1, "ground_downs")
+    names.append("peak_image")
+    columns = ["map", *sides] + [f"{s}_{k}" for s in sides for k in names]
 
     def records() -> Iterator[dict]:
         for path, image in _images(args):
             record = dict(map=args.map_kind, input=path.render(), output=image.render())
             for side, p in zip(sides, (path, image)):
-                values = stats(p).as_dict()
+                found = stats(p)
+                values = {k: getattr(found, k) for k in names}
                 if args.format == "tsv":
                     record.update((f"{side}_{k}", v) for k, v in values.items())
                 else:

@@ -58,11 +58,22 @@ def _balanced(
 
     F goes only at levels of at least flat_from, if set.  A D right after
     a U closes a peak at the parity of the prefix length, which must then
-    equal peak_parity, if set.
+    equal peak_parity, if set.  Every prefix the walk visits is extended
+    by some text it yields.
     """
     # depth first, and the last push is popped first, so pushing D, F, U
-    # yields U < F < D; no push lets level exceed the steps remaining, so a
-    # full-length prefix is back at ground
+    # yields U < F < D.  A child is pushed only if some text extends it.
+    # Beyond its level being at most the steps left, two states are dead:
+    # a return to ground leaving one step (only a ground flat fits) or two
+    # (only a peak at height 1); and a U to a peak height of the wrong
+    # parity leaving no steps to climb once more.  Two tables hold the
+    # rule: a D may leave from levels of at least down_from[remaining],
+    # and a U from level h needs at least up_top[h] + 2 steps remaining.
+    dead_return = 1 if flat_from == 1 else 2 if peak_parity == 0 else None
+    down_from = [1] * (total + 1)
+    if dead_return is not None and dead_return < total:
+        down_from[dead_return + 1] = 2
+    up_top = [h + 2 * (h % 2 == peak_parity) for h in range(total + 1)]
     stack = [("", 0)]
     while stack:
         prefix, level = stack.pop()
@@ -70,13 +81,13 @@ def _balanced(
         if remaining == 0:
             yield prefix
             continue
-        if level > 0 and (
+        if level >= down_from[remaining] and (
             peak_parity is None or prefix[-1] != "U" or len(prefix) % 2 == peak_parity
         ):
             stack.append((prefix + "D", level - 1))
         if flat_from is not None and level >= flat_from and remaining - 1 >= level:
             stack.append((prefix + "F", level))
-        if remaining - 1 >= level + 1:
+        if remaining - 2 >= up_top[level]:
             stack.append((prefix + "U", level + 1))
 
 
@@ -92,8 +103,9 @@ def generate(path_class: PathClass, n: int) -> Iterator[Union[DyckPath, MotzkinP
         dyck = generate(PathClass.ALL_DYCK, n)
         return (p for p in dyck if classify(p) is PeakParityClass.MIXED)
     if path_class is PathClass.MOTZKIN_START_FLAT:
-        # the walk of length -1 yields nothing, so the class is empty at 0
-        return (MotzkinPath._built("F" + s) for s in _balanced(n - 1, flat_from=0))
+        # no path of length 0 starts with a flat
+        texts = _balanced(n - 1, flat_from=0) if n else ()
+        return (MotzkinPath._built("F" + s) for s in texts)
     if path_class is PathClass.ALL_MOTZKIN:
         return map(MotzkinPath._built, _balanced(n, flat_from=0))
     if path_class is PathClass.MOTZKIN_NO_GROUND_FLAT:

@@ -270,21 +270,6 @@ class PathStats:
         """(#U - #UU) + (#F - #FU), the peak count transported to an image path."""
         return (self.u_count - self.uu_count) + (self.f_count - self.fu_count)
 
-    keys: ClassVar[tuple[str, ...]] = (
-        "peaks",
-        "ground_returns",
-        "ground_flats",
-        "ground_downs",
-        "u_count",
-        "f_count",
-        "uu_count",
-        "fu_count",
-        "peak_image",
-    )
-
-    def as_dict(self) -> dict[str, int]:
-        return {key: getattr(self, key) for key in self.keys}
-
 
 def stats(path: Path) -> PathStats:
     """Every statistic for a Dyck or Motzkin path, from one level scan and counts."""

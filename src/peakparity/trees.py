@@ -14,8 +14,10 @@ A tree is one flat array: nodes are numbered in preorder with the root
 as 0, and edge i joins node i + 1 to its parent ``parent[i]``.  So edges
 are numbered in preorder too, and a coloring is a plain string with one
 letter per edge in that order: B (blue), R (red) or K (black).  Every
-pass below is a loop over these arrays, and relocation takes just one;
-none recurses, so tree depth is limited only by memory.
+pass below is a loop over these arrays or a whole-string operation on
+the letters: the coloring makes one loop and then byte operations, and
+relocation takes one loop.  None recurses, so tree depth is limited
+only by memory.
 """
 from __future__ import annotations
 
@@ -148,6 +150,7 @@ def glove_to_dyck(t: OrderedTree) -> DyckPath:
 # one more edge on top swaps the two bits
 _EVEN, _ODD, _MIXED = 1, 2, 3
 _ONE_EDGE_UP = (0, _ODD, _EVEN, _MIXED)
+_LETTER_FOR_CODE = bytes.maketrans(bytes((_EVEN, _ODD)), b"KB")
 
 
 def color_edges(t: OrderedTree) -> str:
@@ -166,19 +169,14 @@ def color_edges(t: OrderedTree) -> str:
         below = mask[v] or _EVEN
         mask[v] = below
         mask[parent[v - 1]] |= _ONE_EDGE_UP[below]
-    letters: list[str] = []
-    for i, p in enumerate(parent):
-        below = mask[i + 1]
-        if below == _MIXED:
-            raise IllDefinedParity(i)
-        if below == _ODD:
-            letters.append("B")
-        elif i and p == i and letters[i - 1] == "B":
-            # node i + 1 is the first child of node i, whose edge is i - 1
-            letters.append("R")
-        else:
-            letters.append("K")
-    return "".join(letters)
+    codes = bytes(mask[1:])  # edge i's code is mask[i + 1]
+    mixed = codes.find(_MIXED)
+    if mixed >= 0:
+        raise IllDefinedParity(mixed)
+    # a blue edge's lower node is never a leaf, so the next edge in
+    # preorder is its first child edge, of even parity: every B is
+    # followed by a K that the red rule turns into an R
+    return codes.translate(_LETTER_FOR_CODE).replace(b"BK", b"BR").decode("ascii")
 
 
 _NOT_A_COLOR = re.compile("[^BRK]")

@@ -7,10 +7,13 @@ randomly sampled class members.
 """
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import d, even_dyck_paths, m, odd_dyck_paths
+from conftest import d, even_dyck_paths, m, motzkin_paths, odd_dyck_paths
 from peakparity import (
     DyckPath,
     InvalidExpansion,
@@ -19,6 +22,7 @@ from peakparity import (
     NotInImage,
     PathClass,
     PeakParityClass,
+    PeakParityError,
     UnexpectedUDPair,
     WrongParityClass,
     apply_map,
@@ -37,6 +41,7 @@ from peakparity import (
     tirrell_b_inv,
 )
 from peakparity.bijections import _expanded_dyck, _substitute_pairs
+from peakparity.paths import _arch_bounds
 
 ODD_PAIRS = [
     ("UD", "F"),
@@ -54,6 +59,46 @@ EVEN_PAIRS = [
     ("UUUUDDDD", "UUDD"),
     ("UUUUDDDDUUDD", "UUDDUD"),
 ]
+
+
+_PAIRS = ("UU", "DU", "DD", "UD")
+
+
+def _substitute_pairs_oracle(text: str) -> str:
+    """The pair rule one pair at a time, as a lookup per pair."""
+    out = []
+    for k in range(0, len(text), 2):
+        image = {"UU": "U", "DU": "F", "DD": "D"}.get(text[k : k + 2])
+        if image is None:
+            raise UnexpectedUDPair(k // 2)
+        out.append(image)
+    return "".join(out)
+
+
+def _outcome(fn, *args):
+    """A call's result, or its domain error's type, message and attributes."""
+    try:
+        return fn(*args)
+    except PeakParityError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def _seeded_motzkin(rng: random.Random, length: int, ground_flats: bool) -> str:
+    """A random Motzkin walk of the given length; each step is any that can finish."""
+    steps, level = [], 0
+    for left in range(length - 1, -1, -1):
+        options = []
+        if left >= level + 1:
+            options.append("U")
+        if left >= level and (ground_flats or level):
+            options.append("F")
+        # a return to ground with one step left would need a ground flat
+        if level and (ground_flats or level > 1 or left != 1):
+            options.append("D")
+        step = rng.choice(options)
+        steps.append(step)
+        level += {"U": 1, "F": 0, "D": -1}[step]
+    return "".join(steps)
 
 
 class TestRecursiveMaps:
@@ -226,6 +271,26 @@ class TestTirrell:
             _substitute_pairs("UUUD")
         assert exc.value.pair_index == 1
 
+    @given(
+        st.lists(st.sampled_from(_PAIRS)) | st.lists(st.sampled_from(_PAIRS[:3]))
+    )
+    def test_pairs_against_loop(self, pairs):
+        # the image, or the same UD pair index as the loop reports
+        text = "".join(pairs)
+        assert _outcome(_substitute_pairs, text) == _outcome(
+            _substitute_pairs_oracle, text
+        )
+
+    @given(motzkin_paths(max_length=40))
+    def test_tirrell_b_inv_ground_flat_message(self, path):
+        # the error an arch scan raises at the first ground flat, or none
+        try:
+            _arch_bounds(path.steps)
+        except NotInImage as exc:
+            assert _outcome(tirrell_b_inv, path) == (NotInImage, str(exc), {})
+        else:
+            assert tirrell_b(tirrell_b_inv(path)) == path
+
     def test_invalid_expansion_on_corrupted_steps(self):
         with pytest.raises(InvalidExpansion):
             _expanded_dyck("DU")
@@ -239,6 +304,36 @@ class TestTirrell:
     @given(even_dyck_paths())
     def test_roundtrip_b(self, p):
         assert tirrell_b_inv(tirrell_b(p)) == p
+
+
+class TestBeyondExhaustive:
+    """Seeded class members far past the exhaustive sizes, and deep chains."""
+
+    def _routes_agree(self, p, image, side):
+        phi, psi, explicit, tirrell, tirrell_inv = {
+            "a": (phi_a, psi_a, explicit_a, tirrell_a, tirrell_a_inv),
+            "b": (phi_b, psi_b, explicit_b, tirrell_b, tirrell_b_inv),
+        }[side]
+        assert phi(p) == image
+        assert explicit(p) == image
+        assert tirrell(p) == image
+        assert psi(image) == p
+        assert tirrell_inv(image) == p
+
+    def test_seeded_members(self):
+        rng = random.Random(2017)
+        for _ in range(3):
+            n = rng.randint(2000, 5000)
+            image = MotzkinPath("F" + _seeded_motzkin(rng, n - 1, ground_flats=True))
+            self._routes_agree(psi_a(image), image, "a")
+            image = MotzkinPath(_seeded_motzkin(rng, n, ground_flats=False))
+            self._routes_agree(psi_b(image), image, "b")
+
+    @pytest.mark.parametrize("k", [1999, 2000, 2001, 2002])
+    def test_chains(self, k):
+        # the one peak sits at height k, so k's parity picks the side
+        image = m("F" * (k % 2) + "U" * (k // 2) + "D" * (k // 2))
+        self._routes_agree(DyckPath("U" * k + "D" * k), image, "a" if k % 2 else "b")
 
 
 class TestStatTransfers:

@@ -519,6 +519,23 @@ class TestStats:
         assert record["output_stats"]["ground_downs"] == 1
         assert record["output_stats"]["peak_image"] == 2
 
+    def test_stats_keys(self, capsys):
+        rc, out, _ = run_cli(["stats", "--map", "phi-b", "@"], capsys)
+        assert rc == 0
+        record = json.loads(out)
+        for side in ("input_stats", "output_stats"):
+            assert list(record[side]) == [
+                "peaks",
+                "ground_returns",
+                "ground_flats",
+                "ground_downs",
+                "u_count",
+                "f_count",
+                "uu_count",
+                "fu_count",
+                "peak_image",
+            ]
+
     def test_tsv(self, capsys):
         rc, out, _ = run_cli(
             ["stats", "--map", "phi-a", "--format", "tsv", "UD"], capsys

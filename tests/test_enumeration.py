@@ -6,6 +6,7 @@ has to agree with both on every row.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import fields
 from itertools import product
 
@@ -99,11 +100,46 @@ _ORACLES = {
 }
 
 
+def _walk(total: int, **walk) -> tuple[list[str], int]:
+    """The texts a walk yields, and how many prefixes it pops off its stack."""
+    visits = 0
+
+    def count(frame, event, arg):
+        nonlocal visits
+        if (
+            event == "c_call"
+            and frame.f_code is enumeration._balanced.__code__
+            and arg.__name__ == "pop"
+        ):
+            visits += 1
+
+    sys.setprofile(count)
+    try:
+        texts = list(enumeration._balanced(total, **walk))
+    finally:
+        sys.setprofile(None)
+    return texts, visits
+
+
 class TestGenerate:
     @pytest.mark.parametrize("path_class", list(_ORACLES), ids=lambda c: c.value)
     def test_walk_matches_oracle(self, path_class):
         for n in range(10):
             assert list(generate(path_class, n)) == _ORACLES[path_class](n), n
+
+    @pytest.mark.parametrize(
+        "unit,walk",
+        [(2, {}), (2, {"peak_parity": 1}), (2, {"peak_parity": 0})]
+        + [(1, {"flat_from": 0}), (1, {"flat_from": 1})],
+        ids=["dyck", "odd-peaks", "even-peaks", "motzkin", "no-ground-flat"],
+    )
+    def test_walk_visits_only_live_prefixes(self, unit, walk):
+        # the walk visits every prefix of what it yields, so as many visits
+        # as such prefixes means it visits no prefix that cannot finish
+        for n in range(10):
+            texts, visits = _walk(unit * n, **walk)
+            live = {""} | {t[:i] for t in texts for i in range(1, len(t) + 1)}
+            assert visits == len(live), n
 
     def test_all_dyck_order(self):
         got = [p.render() for p in generate(PathClass.ALL_DYCK, 3)]

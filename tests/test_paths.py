@@ -325,20 +325,6 @@ class TestStats:
         assert stats(m("UFD")).ground_flats == 0
         assert stats(m("UFD")).ground_downs == 1
 
-    def test_as_dict_keys(self):
-        keys = list(stats(DyckPath()).as_dict())
-        assert keys == [
-            "peaks",
-            "ground_returns",
-            "ground_flats",
-            "ground_downs",
-            "u_count",
-            "f_count",
-            "uu_count",
-            "fu_count",
-            "peak_image",
-        ]
-
     @given(motzkin_paths())
     def test_against_text_scan(self, path):
         text = path.render()

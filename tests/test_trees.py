@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import d, dyck_paths, m
+from conftest import d, dyck_paths, even_dyck_paths, m, odd_dyck_paths
 from peakparity import (
     DyckPath,
     IllDefinedParity,
@@ -110,6 +110,23 @@ def _edge_parities(parens: str, edge: int) -> set[int]:
         else:
             depth -= 1
     raise AssertionError("unbalanced parentheses")
+
+
+def _color_oracle(t: OrderedTree) -> str:
+    """The coloring one edge at a time, from parities read off the text."""
+    parens = t.to_parens()
+    letters: list[str] = []
+    for i, p in enumerate(t.parent):
+        parities = _edge_parities(parens, i)
+        if len(parities) > 1:
+            raise IllDefinedParity(i)
+        if parities == {1}:
+            letters.append("B")
+        elif i and p == i and letters[i - 1] == "B":
+            letters.append("R")
+        else:
+            letters.append("K")
+    return "".join(letters)
 
 
 class TestOrderedTree:
@@ -276,6 +293,22 @@ class TestColorEdges:
         with pytest.raises(IllDefinedParity) as exc:
             color_edges(OrderedTree.from_parens("()(()(()))(()(()))"))
         assert exc.value.edge == 1
+
+    @given(
+        _parent_arrays(40).map(OrderedTree)
+        | odd_dyck_paths().map(glove_to_tree)
+        | even_dyck_paths().map(glove_to_tree)
+    )
+    def test_against_edge_loop(self, t):
+        # the same letters, or the same first mixed edge
+        try:
+            want = _color_oracle(t)
+        except IllDefinedParity as exc:
+            with pytest.raises(IllDefinedParity) as got:
+                color_edges(t)
+            assert got.value.edge == exc.edge
+        else:
+            assert color_edges(t) == want
 
     def test_letters_roundtrip(self):
         t = glove_to_tree(d("UUDUDD"))
