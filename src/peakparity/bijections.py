@@ -19,6 +19,7 @@ module checks that exhaustively.
 from __future__ import annotations
 
 from .paths import (
+    _CHUNK_STEPS,
     BelowGround,
     DyckPath,
     MotzkinPath,
@@ -167,6 +168,8 @@ def explicit_b(p: DyckPath) -> MotzkinPath:
 
 
 _EXPAND_PAIRS = str.maketrans({"U": "UU", "F": "DU", "D": "DD"})
+_FIRST_OF_PAIR = bytes.maketrans(b"F", b"D")
+_SECOND_OF_PAIR = bytes.maketrans(b"F", b"U")
 
 # a pair's code is its first step's (U 0, D 1) plus its second step's
 # (U 0, D 2); the codes fit in a byte each, so adding the two rows of
@@ -188,6 +191,24 @@ def _substitute_pairs(text: str) -> str:
     if bad >= 0:
         raise UnexpectedUDPair(bad)
     return codes.translate(_PAIR_IMAGE).decode("ascii")
+
+
+def _expand_pairs(text: str) -> str:
+    """Each Motzkin step as its Dyck pair: U to UU, F to DU, D to DD."""
+    # str.translate with two-letter values goes one letter at a time; it
+    # beats the two byte rows only on short texts
+    if len(text) > _CHUNK_STEPS:
+        return _expand_by_rows(text)
+    return text.translate(_EXPAND_PAIRS)
+
+
+def _expand_by_rows(text: str) -> str:
+    """_expand_pairs as two byte rows, the pairs' first and second steps."""
+    steps = text.encode("ascii")
+    pairs = bytearray(2 * len(steps))
+    pairs[0::2] = steps.translate(_FIRST_OF_PAIR)
+    pairs[1::2] = steps.translate(_SECOND_OF_PAIR)
+    return pairs.decode("ascii")
 
 
 def _expanded_dyck(text: str) -> DyckPath:
@@ -218,13 +239,13 @@ def tirrell_a_inv(m: MotzkinPath) -> DyckPath:
     """Invert tirrell_a: expand each step and restore the dropped U and D."""
     if not m.steps.startswith("F"):
         raise NotInImage("path does not start with a ground-level flat step")
-    return _expanded_dyck("U" + m.steps[1:].translate(_EXPAND_PAIRS) + "D")
+    return _expanded_dyck("U" + _expand_pairs(m.steps[1:]) + "D")
 
 
 def tirrell_b_inv(m: MotzkinPath) -> DyckPath:
     """Invert tirrell_b.  Rejects paths with ground-level flats."""
     try:
-        return DyckPath(m.steps.translate(_EXPAND_PAIRS))
+        return DyckPath(_expand_pairs(m.steps))
     except BelowGround as exc:
         # the expansion is at twice the Motzkin level after each pair, so
         # only a ground flat, F -> DU at level 0, dips below: first at 2g

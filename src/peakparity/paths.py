@@ -3,10 +3,13 @@
 A Dyck path is a balanced sequence of up and down steps that never dips
 below its starting level.  A Motzkin path additionally allows flat steps.
 Both hold their validated one-letter text over U, D and F in the field
-``steps``, so paths are sliced, joined and searched as plain strings.  The
-functions here classify Dyck paths by the parities of their peak heights,
-decompose paths at returns to ground level, and collect the step
-statistics that the bijection maps preserve.
+``steps``, so paths are sliced, joined and searched as plain strings.
+Construction checks the text one step at a time, or, when it is longer
+than 64 steps, one 64-step chunk at a time, with every level of a chunk
+computed at once as a byte of one integer.  The functions here classify
+Dyck paths by the parities of their peak heights, decompose paths at
+returns to ground level, and collect the step statistics that the
+bijection maps preserve.
 """
 from __future__ import annotations
 
@@ -79,12 +82,24 @@ class PeakParityClass(Enum):
 
 _NOT_A_STEP = re.compile("[^UDF]")
 
+# A text longer than one chunk is checked 64 steps at a time.  Each step
+# is one byte, D 0, F 1 and U 2, so the sum of a chunk's first j + 1
+# bytes is the level after its step j plus j + 1.  Read as one integer
+# with the level reached so far added to its first byte, and multiplied
+# by 0x0101...01, the chunk holds every such prefix sum in its own byte;
+# adding 127 - j at byte j turns byte j into the level plus 128.  While
+# the level carried in is below 64 every byte stays within 64..255, so
+# nothing carries, and a byte's top bit is clear exactly where the level
+# is below ground.
+_CHUNK_STEPS = 64
+_STEP_CODE = bytes.maketrans(b"DFU", b"\x00\x01\x02")
+_ONES = int.from_bytes(b"\x01" * _CHUNK_STEPS, "little")
+_BIAS = int.from_bytes(bytes(range(127, 127 - _CHUNK_STEPS, -1)), "little")
+_TOP_BITS = int.from_bytes(b"\x80" * _CHUNK_STEPS, "little")
 
-def _validate(text: str, allow_flat: bool) -> None:
-    """Raise the first violation: any bad character, then steps in order, then balance."""
-    bad = _NOT_A_STEP.search(text)
-    if bad:
-        raise InvalidCharacter(bad.start(), bad.group())
+
+def _check_steps(text: str, allow_flat: bool) -> None:
+    """Raise the first step violation, then any imbalance, of text over U, D and F."""
     level = 0
     for i, ch in enumerate(text):
         if ch == "U":
@@ -99,6 +114,37 @@ def _validate(text: str, allow_flat: bool) -> None:
         raise UnbalancedPath(level)
 
 
+def _check_chunks(text: str, allow_flat: bool) -> None:
+    """_check_steps with one level scan per chunk of 64 steps instead of per step."""
+    # in Dyck text the first flat is the error unless a dip comes before it
+    end = text.find("F")
+    if allow_flat or end < 0:
+        end = len(text)
+    # flats fill up the last chunk: they keep the level where it is
+    codes = (text[:end] + "F" * (-end % _CHUNK_STEPS)).encode("ascii")
+    codes = codes.translate(_STEP_CODE)
+    level = start = 0
+    while start < len(codes):
+        if level >= _CHUNK_STEPS:
+            # a chunk drops at most 64 levels, so none of the next
+            # level // 64 chunks reaches ground: only their net change counts
+            stop = start + level // _CHUNK_STEPS * _CHUNK_STEPS
+            level += codes.count(2, start, stop) - codes.count(0, start, stop)
+            start = stop
+            continue
+        chunk = int.from_bytes(codes[start : start + _CHUNK_STEPS], "little")
+        sums = (chunk + level) * _ONES + _BIAS
+        below = ~sums & _TOP_BITS
+        if below:
+            raise BelowGround(start + (below & -below).bit_length() // 8 - 1)
+        level = (sums >> 8 * _CHUNK_STEPS - 8 & 255) - 128
+        start += _CHUNK_STEPS
+    if end < len(text):
+        raise ContainsFlat(end)
+    if level != 0:
+        raise UnbalancedPath(level)
+
+
 @dataclass(frozen=True)
 class _Path:
     """Validated step text; instances of different subclasses never compare equal."""
@@ -107,7 +153,16 @@ class _Path:
     allows_flat: ClassVar[bool]
 
     def __post_init__(self):
-        _validate(self.steps, self.allows_flat)
+        # the first violation wins: any bad character, then steps in
+        # order, then balance
+        text = self.steps
+        bad = _NOT_A_STEP.search(text)
+        if bad:
+            raise InvalidCharacter(bad.start(), bad.group())
+        if len(text) > _CHUNK_STEPS:
+            _check_chunks(text, self.allows_flat)
+        else:
+            _check_steps(text, self.allows_flat)
 
     @classmethod
     def from_text(cls, text: str):

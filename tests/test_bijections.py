@@ -40,7 +40,12 @@ from peakparity import (
     tirrell_b,
     tirrell_b_inv,
 )
-from peakparity.bijections import _expanded_dyck, _substitute_pairs
+from peakparity.bijections import (
+    _EXPAND_PAIRS,
+    _expand_by_rows,
+    _expanded_dyck,
+    _substitute_pairs,
+)
 from peakparity.paths import _arch_bounds
 
 ODD_PAIRS = [
@@ -290,6 +295,22 @@ class TestTirrell:
             assert _outcome(tirrell_b_inv, path) == (NotInImage, str(exc), {})
         else:
             assert tirrell_b(tirrell_b_inv(path)) == path
+
+    @pytest.mark.parametrize("g", [0, 33, 100, 1001])
+    def test_tirrell_b_inv_long_ground_flat(self, g):
+        # arches, one with a flat inside, reach ground after g steps; the
+        # expansion is longer than one chunk, so the chunk scan finds the dip
+        arches = "UFD" * (g % 2) + "UD" * (g // 2 - g % 2)
+        path = m(arches + "F" + "UUDD" * 20)
+        assert _outcome(tirrell_b_inv, path) == (
+            NotInImage,
+            f"flat step at ground level at position {g}",
+            {},
+        )
+
+    @given(st.text(alphabet="UDF", max_size=200))
+    def test_expand_rows_against_translate(self, text):
+        assert _expand_by_rows(text) == text.translate(_EXPAND_PAIRS)
 
     def test_invalid_expansion_on_corrupted_steps(self):
         with pytest.raises(InvalidExpansion):

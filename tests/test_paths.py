@@ -8,6 +8,8 @@ Core behaviors pinned here:
   parity class within a pure-parity path
 - every domain error of the package survives pickling, as it must to
   come back from a verify worker process
+- the chunk scan that checks texts longer than 64 steps raises exactly
+  what the step loop raises, on any length
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import pickle
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import d, dyck_paths, m, motzkin_paths
 from peakparity import (
@@ -37,7 +40,13 @@ from peakparity import (
     peaks,
     stats,
 )
-from peakparity.paths import decompose, split_at_ground_downs, split_at_ground_flats
+from peakparity.paths import (
+    _check_chunks,
+    _check_steps,
+    decompose,
+    split_at_ground_downs,
+    split_at_ground_flats,
+)
 
 
 class TestParseRender:
@@ -138,6 +147,113 @@ class TestDyckPath:
             assert level >= 0
         assert level == 0
         assert p.semilength * 2 == len(p)
+
+
+def _error(fn, *args):
+    """The domain error a call raises, as type, message and attributes, or None."""
+    try:
+        fn(*args)
+    except PeakParityError as exc:
+        return type(exc), str(exc), vars(exc)
+    return None
+
+
+# the last and first steps around the borders of the first two chunks
+_CHUNK_BORDERS = (63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def step_texts(draw) -> str:
+    """Texts of 0-300 steps over U, D and F, built from runs of short patterns.
+
+    Long runs climb past level 64 and fall below ground again, so the
+    chunk scan's skip over high chunks is reached; a drawn step may be
+    set at a chunk border.
+    """
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["U", "D", "F", "UD", "DU", "UUD", "UDD"]),
+                st.integers(1, 80),
+            ),
+            max_size=8,
+        )
+    )
+    text = "".join(pattern * count for pattern, count in runs)[:300]
+    at = draw(st.sampled_from(_CHUNK_BORDERS))
+    if at < len(text) and draw(st.booleans()):
+        text = text[:at] + draw(st.sampled_from("UDF")) + text[at + 1 :]
+    return text
+
+
+def _dip_at(position: int) -> str:
+    """A Motzkin prefix back at ground after `position` steps, then a step below."""
+    return "UD" * (position // 2) + "F" * (position % 2) + "D" + "UD" * 5
+
+
+# texts with one fault each, and the error both scans must raise for it
+_PLANTED = [
+    *((_dip_at(k), True, BelowGround(k)) for k in _CHUNK_BORDERS),
+    *((_dip_at(k), False, BelowGround(k)) for k in (64, 128)),
+    *(("U" * k + "F" + "D" * k, False, ContainsFlat(k))
+      for k in _CHUNK_BORDERS),
+    # climbs past level 64, so whole chunks count only their net change
+    ("U" * 100 + "D" * 101 + "UD" * 10, True, BelowGround(200)),
+    ("U" * 150 + "D" * 151, False, BelowGround(300)),
+    # a flat before and after a dip
+    ("U" * 70 + "F" + "D" * 71, False, ContainsFlat(70)),
+    ("U" * 70 + "F" + "D" * 71, True, BelowGround(141)),
+    ("U" * 70 + "D" * 71 + "F", False, BelowGround(140)),
+    # unbalanced ends
+    ("U" * 100 + "D" * 99, False, UnbalancedPath(1)),
+    ("U" * 70, True, UnbalancedPath(70)),
+    ("UD" * 40 + "U", False, UnbalancedPath(1)),
+    ("U" * 65 + "F" + "D" * 64, True, UnbalancedPath(1)),
+]
+
+
+class TestChunkScan:
+    """Construction scans texts longer than 64 steps a chunk at a time and
+    shorter ones step by step; both helpers must raise the same error."""
+
+    @given(step_texts())
+    def test_chunks_against_steps(self, text):
+        for allow_flat in (False, True):
+            assert _error(_check_chunks, text, allow_flat) == _error(
+                _check_steps, text, allow_flat
+            )
+
+    @given(step_texts())
+    def test_constructors_against_steps(self, text):
+        assert _error(DyckPath, text) == _error(_check_steps, text, False)
+        assert _error(MotzkinPath, text) == _error(_check_steps, text, True)
+
+    @pytest.mark.parametrize(
+        "text,allow_flat,error",
+        _PLANTED,
+        ids=[
+            f"{'motzkin' if flat else 'dyck'}-{len(text)}-{type(error).__name__}"
+            f"-{list(vars(error).values())[0]}"
+            for text, flat, error in _PLANTED
+        ],
+    )
+    def test_planted_faults(self, text, allow_flat, error):
+        want = type(error), str(error), vars(error)
+        assert _error(_check_steps, text, allow_flat) == want
+        assert _error(_check_chunks, text, allow_flat) == want
+        assert _error(MotzkinPath if allow_flat else DyckPath, text) == want
+
+    @pytest.mark.parametrize("cls", [DyckPath, MotzkinPath])
+    def test_bad_character_after_a_dip(self, cls):
+        # every character is checked before any step, on long texts too
+        with pytest.raises(InvalidCharacter) as exc:
+            cls("UD" * 40 + "D" + "UD" * 10 + "x")
+        assert exc.value.position == 101
+
+    @pytest.mark.parametrize("k", [32, 33, 64, 1000])
+    def test_long_valid_paths(self, k):
+        assert DyckPath("U" * k + "D" * k).semilength == k
+        assert MotzkinPath("F" * k + "U" * k + "F" + "D" * k).length == 3 * k + 1
 
 
 class TestMotzkinPath:
