@@ -8,7 +8,8 @@ length n with no ground-level flat step at all.
 
 phi_a and phi_b unroll the paper's recursion on the return-to-ground
 factorization into one pass over the steps, psi_a and psi_b invert them
-in one pass, explicit_a and explicit_b go through the colored-tree
+in one pass that keeps only the current level and whether psi_a has
+opened a segment, explicit_a and explicit_b go through the colored-tree
 rewrite in one shot, and the tirrell maps substitute adjacent step pairs
 directly.  The pair rule is fixed-width, so the tirrell maps and their
 inverses run as whole-string byte and str operations with no Python
@@ -70,14 +71,17 @@ def _phi(text: str, on_a: bool) -> MotzkinPath:
     # levels under phi_a, odd under phi_b); each emits F, which rest drops
     # right after a U.  A phi_b factor emits U, its interior's image, D.
     out, prev = [], ""
+    emit = out.append
     for ch in text:
-        if ch == "U" and not on_a:
-            out.append("U")
-        elif ch == "U" and prev != "U":
-            out.append("F")
-        elif ch == "D" and on_a:
-            out.append("D")
-        on_a, prev = not on_a, ch
+        if ch == "U":
+            if not on_a:
+                emit("U")
+            elif prev != "U":
+                emit("F")
+        elif on_a:
+            emit("D")
+        on_a = not on_a
+        prev = ch
     return MotzkinPath("".join(out))
 
 
@@ -104,24 +108,28 @@ def phi_b(p: DyckPath) -> MotzkinPath:
 
 
 def _psi(text: str, side: str) -> DyckPath:
-    # one (side, a psi_a segment is open) frame per open level.  An arch
-    # U A D of psi_b reads A as psi_a(F A): its U opens the arch and A's
-    # first segment, a flat in A closes one segment and opens the next,
-    # and its D closes the last segment and the arch
-    out, frames = [], [(side, False)]
-    for i, ch in enumerate(text):
+    # the pair expansion, U to UU, D to DD and F to DU, on a level counter;
+    # only a ground flat differs.  psi_b has none, and psi_a's segments
+    # F S give U psi_b(S) D: the first opens with U alone, each later one
+    # with the DU that closes the one before, and a final D closes the last
+    out, level, opened = [], 0, False
+    emit = out.append
+    for ch in text:
         if ch == "U":
-            out.append("UU")
-            frames.append(("a", True))
+            emit("UU")
+            level += 1
         elif ch == "D":
-            out.append("DD")
-            frames.pop()
-        elif frames[-1][0] == "b":
-            raise NotInImage(f"flat step at ground level at position {i}")
+            emit("DD")
+            level -= 1
+        elif level:
+            emit("DU")
+        elif side == "b":
+            # on side b every earlier step gave one item
+            raise NotInImage(f"flat step at ground level at position {len(out)}")
         else:
-            out.append("DU" if frames[-1][1] else "U")
-            frames[-1] = ("a", True)
-    return DyckPath("".join(out) + ("D" if frames[0][1] else ""))
+            emit("DU" if opened else "U")
+            opened = True
+    return DyckPath("".join(out) + ("D" if opened else ""))
 
 
 def psi_a(m: MotzkinPath) -> DyckPath:

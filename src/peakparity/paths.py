@@ -9,7 +9,10 @@ than 64 steps, one 64-step chunk at a time, with every level of a chunk
 computed at once as a byte of one integer.  The functions here classify
 Dyck paths by the parities of their peak heights, decompose paths at
 returns to ground level, and collect the step statistics that the
-bijection maps preserve.
+bijection maps preserve.  Classifying reads each peak's parity from its
+index: up to 64 steps with two regexes, and past that with two
+substring searches in one copy of the text whose odd-index steps are in
+lower case.
 """
 from __future__ import annotations
 
@@ -265,7 +268,10 @@ def peaks(p: DyckPath) -> list[tuple[int, int]]:
     return found
 
 
-# a UD at an even index is a peak at odd height, at an odd index at even height
+# a UD at an even index is a peak at odd height, at an odd index at even
+# height.  The lazy regexes step two letters at a time; past one chunk a
+# copy with its odd-index steps in lower case is faster, since the peaks
+# are then the plain substrings Ud (odd height) and uD (even height)
 _ODD_PEAK = re.compile("(?:..)*?UD").match
 _EVEN_PEAK = re.compile(".(?:..)*?UD").match
 
@@ -279,11 +285,18 @@ def classify(p: DyckPath) -> PeakParityClass:
     """
     if not isinstance(p, DyckPath):
         raise TypeError(f"classify takes a DyckPath, not {type(p).__name__}")
-    if not _ODD_PEAK(p.steps):
-        return PeakParityClass.ALL_EVEN
-    if not _EVEN_PEAK(p.steps):
-        return PeakParityClass.ALL_ODD
-    return PeakParityClass.MIXED
+    text = p.steps
+    if len(text) > _CHUNK_STEPS:
+        marked = bytearray(text, "ascii")
+        marked[1::2] = marked[1::2].lower()
+        if b"Ud" not in marked:
+            return PeakParityClass.ALL_EVEN
+        has_even = b"uD" in marked
+    else:
+        if not _ODD_PEAK(text):
+            return PeakParityClass.ALL_EVEN
+        has_even = _EVEN_PEAK(text)
+    return PeakParityClass.MIXED if has_even else PeakParityClass.ALL_ODD
 
 
 def decompose(p: DyckPath) -> tuple[DyckPath, ...]:

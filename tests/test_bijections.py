@@ -3,7 +3,8 @@
 The frozen input/output pairs below were derived by unrolling the
 recursions by hand; the explicit and pairing routes are then required to
 reproduce them, and hypothesis drives the round-trip identities on
-randomly sampled class members.
+randomly sampled class members.  The recursions also run literally, as
+code on the factor and segment splits, against the one-pass phi and psi.
 """
 from __future__ import annotations
 
@@ -46,7 +47,12 @@ from peakparity.bijections import (
     _expanded_dyck,
     _substitute_pairs,
 )
-from peakparity.paths import _arch_bounds
+from peakparity.paths import (
+    _arch_bounds,
+    decompose,
+    split_at_ground_downs,
+    split_at_ground_flats,
+)
 
 ODD_PAIRS = [
     ("UD", "F"),
@@ -355,6 +361,61 @@ class TestBeyondExhaustive:
         # the one peak sits at height k, so k's parity picks the side
         image = m("F" * (k % 2) + "U" * (k // 2) + "D" * (k // 2))
         self._routes_agree(DyckPath("U" * k + "D" * k), image, "a" if k % 2 else "b")
+
+
+def _phi_a_rec(text: str) -> str:
+    """phi_a as the paper writes it: each factor U P D gives F phi_b(P)."""
+    return "".join("F" + _phi_b_rec(q.steps) for q in decompose(d(text)))
+
+
+def _phi_b_rec(text: str) -> str:
+    """phi_b as the paper writes it: each factor U P D gives U phi_a(P) D, less its F."""
+    return "".join("U" + _phi_a_rec(q.steps)[1:] + "D" for q in decompose(d(text)))
+
+
+def _psi_a_rec(text: str) -> str:
+    """psi_a as the paper writes it: each segment F S gives U psi_b(S) D."""
+    segments = split_at_ground_flats(m(text))
+    return "".join("U" + _psi_b_rec(seg.steps[1:]) + "D" for seg in segments)
+
+
+def _psi_b_rec(text: str) -> str:
+    """psi_b as the paper writes it: each arch U A D gives U psi_a(F A) D."""
+    arches = split_at_ground_downs(m(text))
+    return "".join("U" + _psi_a_rec("F" + arch.steps[1:-1]) + "D" for arch in arches)
+
+
+class TestAgainstRecursion:
+    """The one-pass maps against the paper's recursion run literally, as code."""
+
+    @given(odd_dyck_paths())
+    def test_phi_a(self, p):
+        assert phi_a(p) == m(_phi_a_rec(p.steps))
+
+    @given(even_dyck_paths())
+    def test_phi_b(self, p):
+        assert phi_b(p) == m(_phi_b_rec(p.steps))
+
+    @given(motzkin_paths().filter(lambda path: path.steps))
+    def test_psi_a(self, path):
+        # the recursion sends the empty path to itself; psi_a rejects it,
+        # since phi_a never gives it
+        assert _outcome(psi_a, path) == _outcome(lambda q: d(_psi_a_rec(q.steps)), path)
+
+    @given(motzkin_paths())
+    def test_psi_b(self, path):
+        assert _outcome(psi_b, path) == _outcome(lambda q: d(_psi_b_rec(q.steps)), path)
+
+    @given(st.randoms(use_true_random=False), st.integers(2, 300))
+    def test_seeded_members(self, rng, n):
+        image = "F" + _seeded_motzkin(rng, n - 1, ground_flats=True)
+        p = d(_psi_a_rec(image))
+        assert psi_a(m(image)) == p
+        assert phi_a(p) == m(_phi_a_rec(p.steps)) == m(image)
+        image = _seeded_motzkin(rng, n, ground_flats=False)
+        p = d(_psi_b_rec(image))
+        assert psi_b(m(image)) == p
+        assert phi_b(p) == m(_phi_b_rec(p.steps)) == m(image)
 
 
 class TestStatTransfers:

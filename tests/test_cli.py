@@ -3,10 +3,13 @@
 Exit code contract: 0 success, 1 for domain or validation failures
 (including a failed verification run), 2 for malformed command lines.
 The mutation tests at the bottom patch one entry of the map table at a
-time and require the verify subcommand to catch every single one.
+time and require the verify subcommand to catch every single one; the
+planted-defect tests after them break one line of the phi or psi loop
+and pin the exact set of checks that fail.
 """
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import os
@@ -808,3 +811,61 @@ class TestMutationSmoke:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL triple-agreement" in out
+
+
+def _edited(fn, line: str, replacement: str):
+    """A bijections function with one line of its source replaced."""
+    source = inspect.getsource(fn)
+    assert source.count(line) == 1
+    namespace: dict = {}
+    exec(source.replace(line, replacement), vars(bij), namespace)
+    return namespace[fn.__name__]
+
+
+class TestPlantedLoopDefects:
+    """One line of the phi or psi loop broken, and the checks verify then fails."""
+
+    ROWS = [
+        pytest.param(
+            "_phi",
+            'elif prev != "U":',
+            "else:",
+            {
+                "coloring-counts",
+                "image-even",
+                "image-odd",
+                "inverse-roundtrip-a",
+                "inverse-roundtrip-b",
+                "roundtrip-recursive-a",
+                "roundtrip-recursive-b",
+                "size-preservation",
+                "stat-transfer-peaks",
+                "triple-agreement-even",
+                "triple-agreement-odd",
+            },
+            id="phi-flat-after-up",
+        ),
+        pytest.param(
+            "_psi",
+            'emit("DU" if opened else "U")',
+            'emit("DU")',
+            {"image-odd", "no-unexpected-errors"},
+            id="psi-a-first-segment-du",
+        ),
+        # verify feeds psi_b only its image class, which has no ground
+        # flat, so no check sees psi_b accept one
+        pytest.param(
+            "_psi",
+            'raise NotInImage(f"flat step at ground level at position {len(out)}")',
+            'emit("DU")',
+            set(),
+            id="psi-b-ground-flat-accepted",
+        ),
+    ]
+
+    @pytest.mark.parametrize("name,line,replacement,failed", ROWS)
+    def test_failed_checks(self, name, line, replacement, failed, monkeypatch):
+        # patched before the workers fork, so every size runs the edited loop
+        monkeypatch.setattr(bij, name, _edited(getattr(bij, name), line, replacement))
+        results = run_verification(6)
+        assert {r.name for r in results if not r.passed} == failed

@@ -41,6 +41,8 @@ from peakparity import (
     stats,
 )
 from peakparity.paths import (
+    _EVEN_PEAK,
+    _ODD_PEAK,
     _check_chunks,
     _check_steps,
     decompose,
@@ -327,6 +329,32 @@ class TestPeaks:
             assert peaks(p) == [(-1, 0)]
 
 
+# ground-level patterns whose peaks all sit at odd, or all at even, height
+_ODD_PATTERNS = ("UD", "UDUD", "UUUDDD")
+_EVEN_PATTERNS = ("UUDD", "UUDUDD", "UUUUDDDD")
+
+
+@st.composite
+def _planted_peak_texts(draw) -> str:
+    """Short Dyck patterns around one peak planted at index 62..66 or 126..130."""
+    pool = draw(
+        st.sampled_from([_ODD_PATTERNS, _EVEN_PATTERNS, _ODD_PATTERNS + _EVEN_PATTERNS])
+    )
+    at = draw(st.sampled_from([*range(62, 67), *range(126, 131)]))
+    text = ""
+    for pattern in draw(st.lists(st.sampled_from(pool), max_size=40)):
+        if len(text) + len(pattern) > at:
+            break
+        text += pattern
+    climb = at - len(text)
+    text += "U" * climb + "UD" + "D" * climb
+    for pattern in draw(st.lists(st.sampled_from(pool), max_size=40)):
+        if len(text) + len(pattern) > 300:
+            break
+        text += pattern
+    return text
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "text,expected",
@@ -357,6 +385,18 @@ class TestClassify:
     def test_rejects_motzkin_path(self):
         with pytest.raises(TypeError):
             classify(m("FUD"))
+
+    @given(_planted_peak_texts())
+    def test_chunk_border(self, text):
+        # past one chunk classify searches a case-marked copy; the regexes
+        # it uses up to one chunk are the reference on every length
+        if not _ODD_PEAK(text):
+            expected = PeakParityClass.ALL_EVEN
+        elif not _EVEN_PEAK(text):
+            expected = PeakParityClass.ALL_ODD
+        else:
+            expected = PeakParityClass.MIXED
+        assert classify(d(text)) is expected
 
     @given(dyck_paths())
     def test_matches_parity_sets(self, p):
