@@ -2,22 +2,14 @@
 restricted Motzkin paths, with exhaustive enumeration and cross-checks.
 """
 from .paths import (
-    BelowGround,
-    ContainsFlat,
     DyckPath,
-    InvalidCharacter,
     MotzkinPath,
-    NotInImage,
     PeakParityClass,
     PeakParityError,
-    UnbalancedPath,
     classify,
-    peaks,
     stats,
 )
 from .trees import (
-    IllDefinedParity,
-    InvalidMotzkinOutput,
     OrderedTree,
     color_edges,
     glove_to_dyck,
@@ -26,11 +18,7 @@ from .trees import (
     walk_to_motzkin,
 )
 from .bijections import (
-    InvalidExpansion,
     MapKind,
-    UnexpectedUDPair,
-    WrongParityClass,
-    apply_map,
     explicit_a,
     explicit_b,
     phi_a,
@@ -42,41 +30,19 @@ from .bijections import (
     tirrell_b,
     tirrell_b_inv,
 )
-from .enumeration import (
-    ClaimViolation,
-    PathClass,
-    catalan,
-    count_table,
-    generate,
-    lex_key,
-    motzkin,
-    riordan,
-)
+from .enumeration import PathClass, count_table, generate
 from .verify import run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BelowGround",
-    "ClaimViolation",
-    "ContainsFlat",
     "DyckPath",
-    "IllDefinedParity",
-    "InvalidCharacter",
-    "InvalidExpansion",
-    "InvalidMotzkinOutput",
     "MapKind",
     "MotzkinPath",
-    "NotInImage",
     "OrderedTree",
     "PathClass",
     "PeakParityClass",
     "PeakParityError",
-    "UnbalancedPath",
-    "UnexpectedUDPair",
-    "WrongParityClass",
-    "apply_map",
-    "catalan",
     "classify",
     "color_edges",
     "count_table",
@@ -85,15 +51,11 @@ __all__ = [
     "generate",
     "glove_to_dyck",
     "glove_to_tree",
-    "lex_key",
-    "motzkin",
-    "peaks",
     "phi_a",
     "phi_b",
     "psi_a",
     "psi_b",
     "relocate_reds",
-    "riordan",
     "run_verification",
     "stats",
     "tirrell_a",

@@ -56,10 +56,6 @@ class UnexpectedUDPair(PeakParityError):
         super().__init__(f"up-down pair at pair index {pair_index}")
 
 
-class InvalidExpansion(PeakParityError):
-    """Pair expansion produced a step sequence that is not a Dyck path."""
-
-
 def _require_class(p: DyckPath, expected: PeakParityClass) -> None:
     actual = classify(p)
     if actual is not expected:
@@ -137,9 +133,7 @@ def psi_a(m: MotzkinPath) -> DyckPath:
 
     Each segment F S, cut before a ground flat, contributes U psi_b(S) D.
     """
-    if not m.steps:
-        raise NotInImage("the empty path is not in the image of phi_a")
-    if m.steps[0] != "F":
+    if not m.steps.startswith("F"):
         raise NotInImage("path does not start with a ground-level flat step")
     return _psi(m.steps, "a")
 
@@ -219,13 +213,6 @@ def _expand_by_rows(text: str) -> str:
     return pairs.decode("ascii")
 
 
-def _expanded_dyck(text: str) -> DyckPath:
-    try:
-        return DyckPath(text)
-    except PeakParityError as exc:
-        raise InvalidExpansion(f"expanded steps are not a Dyck path: {exc}") from exc
-
-
 def tirrell_a(p: DyckPath) -> MotzkinPath:
     """Pair-substitution route on all-odd inputs.
 
@@ -247,7 +234,9 @@ def tirrell_a_inv(m: MotzkinPath) -> DyckPath:
     """Invert tirrell_a: expand each step and restore the dropped U and D."""
     if not m.steps.startswith("F"):
         raise NotInImage("path does not start with a ground-level flat step")
-    return _expanded_dyck("U" + _expand_pairs(m.steps[1:]) + "D")
+    # the rest of m is a Motzkin path, whose expansion dips to -1 only
+    # inside a ground flat; the leading U lifts it and the final D closes it
+    return DyckPath("U" + _expand_pairs(m.steps[1:]) + "D")
 
 
 def tirrell_b_inv(m: MotzkinPath) -> DyckPath:

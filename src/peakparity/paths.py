@@ -212,10 +212,6 @@ class MotzkinPath(_Path):
 
     allows_flat = True
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
 
 Path = Union[DyckPath, MotzkinPath]
 
@@ -231,18 +227,6 @@ def _ground_points(text: str) -> list[int]:
             level -= 1
         if level == 0:
             points.append(i)
-    return points
-
-
-def _arch_bounds(text: str) -> list[int]:
-    """Ground points of a path made of arches only.
-
-    Raises NotInImage at the first flat step taken at ground level.
-    """
-    points = _ground_points(text)
-    for g in points[:-1]:
-        if text[g] == "F":
-            raise NotInImage(f"flat step at ground level at position {g}")
     return points
 
 
@@ -384,5 +368,9 @@ def split_at_ground_downs(m: MotzkinPath) -> tuple[MotzkinPath, ...]:
     Defined on paths with no ground-level flat step; each segment is then
     a single arch.  Raises NotInImage if a ground-level flat is present.
     """
-    cuts = _arch_bounds(m.steps)
-    return tuple(MotzkinPath._built(m.steps[a:b]) for a, b in zip(cuts, cuts[1:]))
+    text = m.steps
+    cuts = _ground_points(text)
+    for g in cuts[:-1]:
+        if text[g] == "F":
+            raise NotInImage(f"flat step at ground level at position {g}")
+    return tuple(MotzkinPath._built(text[a:b]) for a, b in zip(cuts, cuts[1:]))

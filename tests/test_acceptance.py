@@ -22,27 +22,25 @@ import pytest
 from peakparity import (
     PathClass,
     PeakParityClass,
-    UnexpectedUDPair,
     classify,
     explicit_a,
     explicit_b,
     generate,
     glove_to_dyck,
     glove_to_tree,
-    motzkin,
-    peaks,
     phi_a,
     phi_b,
     psi_a,
     psi_b,
-    riordan,
     stats,
     tirrell_a,
     tirrell_a_inv,
     tirrell_b,
     tirrell_b_inv,
 )
-from peakparity.bijections import _substitute_pairs
+from peakparity.bijections import UnexpectedUDPair, _substitute_pairs
+from peakparity.enumeration import motzkin, riordan
+from peakparity.paths import peaks
 
 MAX_N = 12
 

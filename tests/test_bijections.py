@@ -17,17 +17,11 @@ from hypothesis import strategies as st
 from conftest import d, even_dyck_paths, m, motzkin_paths, odd_dyck_paths
 from peakparity import (
     DyckPath,
-    InvalidExpansion,
     MapKind,
     MotzkinPath,
-    NotInImage,
     PathClass,
     PeakParityClass,
     PeakParityError,
-    UnexpectedUDPair,
-    WrongParityClass,
-    apply_map,
-    classify,
     explicit_a,
     explicit_b,
     generate,
@@ -43,12 +37,14 @@ from peakparity import (
 )
 from peakparity.bijections import (
     _EXPAND_PAIRS,
+    UnexpectedUDPair,
+    WrongParityClass,
     _expand_by_rows,
-    _expanded_dyck,
     _substitute_pairs,
+    apply_map,
 )
 from peakparity.paths import (
-    _arch_bounds,
+    NotInImage,
     decompose,
     split_at_ground_downs,
     split_at_ground_flats,
@@ -294,9 +290,9 @@ class TestTirrell:
 
     @given(motzkin_paths(max_length=40))
     def test_tirrell_b_inv_ground_flat_message(self, path):
-        # the error an arch scan raises at the first ground flat, or none
+        # the error the arch split raises at the first ground flat, or none
         try:
-            _arch_bounds(path.steps)
+            split_at_ground_downs(path)
         except NotInImage as exc:
             assert _outcome(tirrell_b_inv, path) == (NotInImage, str(exc), {})
         else:
@@ -317,12 +313,6 @@ class TestTirrell:
     @given(st.text(alphabet="UDF", max_size=200))
     def test_expand_rows_against_translate(self, text):
         assert _expand_by_rows(text) == text.translate(_EXPAND_PAIRS)
-
-    def test_invalid_expansion_on_corrupted_steps(self):
-        with pytest.raises(InvalidExpansion):
-            _expanded_dyck("DU")
-        with pytest.raises(InvalidExpansion):
-            _expanded_dyck("U")
 
     @given(odd_dyck_paths())
     def test_roundtrip_a(self, p):
@@ -450,6 +440,17 @@ class TestAgreementExhaustive:
             assert odd_images == set(generate(PathClass.MOTZKIN_START_FLAT, n))
             even_images = {phi_b(p) for p in generate(PathClass.DYCK_ALL_EVEN, n)}
             assert even_images == set(generate(PathClass.MOTZKIN_NO_GROUND_FLAT, n))
+
+    @pytest.mark.parametrize(
+        "psi,inverse", [(psi_a, tirrell_a_inv), (psi_b, tirrell_b_inv)]
+    )
+    def test_inverses_agree_on_every_motzkin_path(self, psi, inverse):
+        # the same path, or NotInImage with the same message, the empty path too
+        for n in range(9):
+            for path in generate(PathClass.ALL_MOTZKIN, n):
+                outcome = _outcome(psi, path)
+                assert outcome == _outcome(inverse, path)
+                assert isinstance(outcome, DyckPath) or outcome[0] is NotInImage
 
 
 class TestApplyMap:

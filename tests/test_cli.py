@@ -26,13 +26,13 @@ from peakparity import (
     MapKind,
     MotzkinPath,
     PeakParityClass,
-    WrongParityClass,
     classify,
     cli,
     run_verification,
     verify,
 )
 from peakparity import bijections as bij
+from peakparity.bijections import WrongParityClass
 
 # every verify check's case count at the pinned sizes, shared with the benchmark
 _VERIFY_CASES = json.loads(

@@ -14,22 +14,18 @@ import pytest
 
 from conftest import d, m
 from peakparity import (
-    ClaimViolation,
     DyckPath,
     MotzkinPath,
     PathClass,
     PeakParityClass,
     PeakParityError,
-    catalan,
     classify,
     count_table,
     generate,
-    lex_key,
-    motzkin,
-    riordan,
     stats,
 )
 from peakparity import enumeration
+from peakparity.enumeration import ClaimViolation, catalan, lex_key, motzkin, riordan
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]

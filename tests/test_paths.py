@@ -21,34 +21,31 @@ from hypothesis import strategies as st
 
 from conftest import d, dyck_paths, m, motzkin_paths
 from peakparity import (
-    BelowGround,
-    ClaimViolation,
-    ContainsFlat,
     DyckPath,
-    IllDefinedParity,
-    InvalidCharacter,
-    InvalidExpansion,
-    InvalidMotzkinOutput,
     MotzkinPath,
-    NotInImage,
     PeakParityClass,
     PeakParityError,
-    UnbalancedPath,
-    UnexpectedUDPair,
-    WrongParityClass,
     classify,
-    peaks,
     stats,
 )
+from peakparity.bijections import UnexpectedUDPair, WrongParityClass
+from peakparity.enumeration import ClaimViolation
 from peakparity.paths import (
     _EVEN_PEAK,
     _ODD_PEAK,
+    BelowGround,
+    ContainsFlat,
+    InvalidCharacter,
+    NotInImage,
+    UnbalancedPath,
     _check_chunks,
     _check_steps,
     decompose,
+    peaks,
     split_at_ground_downs,
     split_at_ground_flats,
 )
+from peakparity.trees import IllDefinedParity, InvalidMotzkinOutput
 
 
 class TestParseRender:
@@ -255,15 +252,15 @@ class TestChunkScan:
     @pytest.mark.parametrize("k", [32, 33, 64, 1000])
     def test_long_valid_paths(self, k):
         assert DyckPath("U" * k + "D" * k).semilength == k
-        assert MotzkinPath("F" * k + "U" * k + "F" + "D" * k).length == 3 * k + 1
+        assert len(MotzkinPath("F" * k + "U" * k + "F" + "D" * k)) == 3 * k + 1
 
 
 class TestMotzkinPath:
     def test_flat_only(self):
-        assert m("F").length == 1
+        assert len(m("F")) == 1
 
     def test_empty(self):
-        assert MotzkinPath().length == 0
+        assert len(MotzkinPath()) == 0
 
     def test_unbalanced(self):
         with pytest.raises(UnbalancedPath) as exc:
@@ -568,7 +565,6 @@ _ERRORS = [
     NotInImage("path does not start with a ground-level flat step"),
     WrongParityClass(PeakParityClass.ALL_ODD, PeakParityClass.ALL_EVEN),
     UnexpectedUDPair(5),
-    InvalidExpansion("expanded steps are not a Dyck path"),
     IllDefinedParity(4),
     InvalidMotzkinOutput("walk ends at level 1"),
     ClaimViolation(7, "riordan", 36, 35),

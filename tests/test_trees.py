@@ -24,8 +24,6 @@ from hypothesis import strategies as st
 from conftest import d, dyck_paths, even_dyck_paths, m, odd_dyck_paths
 from peakparity import (
     DyckPath,
-    IllDefinedParity,
-    InvalidMotzkinOutput,
     OrderedTree,
     PathClass,
     classify,
@@ -35,12 +33,13 @@ from peakparity import (
     generate,
     glove_to_dyck,
     glove_to_tree,
-    peaks,
     relocate_reds,
     tirrell_a,
     tirrell_b,
     walk_to_motzkin,
 )
+from peakparity.paths import peaks
+from peakparity.trees import IllDefinedParity, InvalidMotzkinOutput
 
 _PARENS = str.maketrans("UD", "()")
 
