@@ -10,21 +10,24 @@ rest are black.  Each red edge is then relocated, alone, to the right
 end of its parent's children; reading the tree in preorder and emitting
 U for blue, D for red, F for black gives the recursive maps' Motzkin path.
 
-A tree is one flat array: nodes are numbered in preorder with the root
-as 0, and edge i joins node i + 1 to its parent ``parent[i]``.  So edges
-are numbered in preorder too, and a coloring is a plain string with one
-letter per edge in that order: B (blue), R (red) or K (black).  Every
-pass below is a loop over these arrays or a whole-string operation on
-the letters: the coloring makes one loop and then byte operations, and
-relocation takes one loop.  None recurses, so tree depth is limited
-only by memory.
+A tree is its balanced-parentheses text: each "(" enters a new node and
+each ")" climbs back out.  Nodes are numbered in preorder with the root
+as 0, so edge i is the edge into node i + 1, entered by the i-th "(".
+Its preorder parent array, ``parent[i]`` the parent of node i + 1, is
+derived from the text when first asked for.  A coloring is a plain
+string with one letter per edge in preorder: B (blue), R (red) or K
+(black).  The glove maps are translations of the text, the coloring is
+byte operations on one marked copy of it, and relocation is one pass
+over it.  None recurses, so tree depth is limited only by memory.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
-from .paths import DyckPath, MotzkinPath, PeakParityError
+from .paths import DyckPath, MotzkinPath, PeakParityError, _ground_points
 
 
 class IllDefinedParity(PeakParityError):
@@ -39,21 +42,24 @@ class InvalidMotzkinOutput(PeakParityError):
     """A colored-tree walk produced a step sequence that is not a Motzkin path."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrderedTree:
-    """Ordered rooted tree as its preorder parent array.
+    """Ordered rooted tree as its balanced-parentheses text.
 
-    ``parent[i]`` is the parent of node i + 1; the root is node 0.  In
+    ``OrderedTree(parent)`` builds the tree of a preorder parent array:
+    ``parent[i]`` is the parent of node i + 1, and the root is node 0.  In
     preorder that parent is node i or one of its ancestors; any other
     array raises ValueError naming the first index where this fails.
     """
 
-    parent: tuple[int, ...] = ()
+    parens: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "parent", tuple(self.parent))
+    def __init__(self, parent: Iterable[int] = ()):
+        # the ")" run before each node's "(", then the run after the last node
+        closes: list[str] = []
         path = [0]  # root to the node numbered last
-        for i, p in enumerate(self.parent):
+        for i, p in enumerate(parent):
+            before = len(path)
             while path and path[-1] != p:
                 path.pop()
             if not path:
@@ -61,23 +67,42 @@ class OrderedTree:
                     f"not a preorder parent array: parent[{i}] = {p!r} is not "
                     f"node {i} or an ancestor of it"
                 )
+            closes.append(")" * (before - len(path)))
             path.append(i + 1)
+        closes.append(")" * (len(path) - 1))
+        object.__setattr__(self, "parens", "(".join(closes))
 
     @classmethod
-    def _built(cls, parent: list[int]) -> "OrderedTree":
-        # arrays this module builds in preorder or reads off a DyckPath are
-        # valid by construction; skipping the check keeps it off the hot path
+    def _built(cls, parens: str) -> "OrderedTree":
+        # text this module translates from a DyckPath or writes in one pass
+        # is balanced by construction; skipping the check keeps it off the
+        # hot path
         tree = object.__new__(cls)
-        object.__setattr__(tree, "parent", tuple(parent))
+        object.__setattr__(tree, "parens", parens)
         return tree
+
+    @cached_property
+    def parent(self) -> tuple[int, ...]:
+        """Preorder parent array, derived from the text on first use."""
+        parent: list[int] = []
+        last = [0] * (len(self.parens) // 2 + 1)  # node opened last at each depth
+        depth = 0
+        for ch in self.parens:
+            if ch == "(":
+                parent.append(last[depth])
+                depth += 1
+                last[depth] = len(parent)
+            else:
+                depth -= 1
+        return tuple(parent)
 
     @property
     def node_count(self) -> int:
-        return len(self.parent) + 1
+        return len(self.parens) // 2 + 1
 
     @property
     def edge_count(self) -> int:
-        return len(self.parent)
+        return len(self.parens) // 2
 
     def leaf_depths(self) -> list[int]:
         """Depth of each leaf, left to right."""
@@ -89,25 +114,14 @@ class OrderedTree:
 
     def to_parens(self) -> str:
         """Balanced-parentheses form; the single-node tree renders as ''."""
-        # the ")" run before each node's "(", then the run after the last node
-        depth = [0]
-        closes: list[str] = []
-        for p in self.parent:
-            closes.append(")" * (depth[-1] - depth[p]))
-            depth.append(depth[p] + 1)
-        closes.append(")" * depth[-1])
-        return "(".join(closes)
+        return self.parens
 
     @classmethod
     def from_parens(cls, text: str) -> "OrderedTree":
-        parent: list[int] = []
-        last = [0] * (len(text) + 1)  # node opened last at each depth
         depth = 0
         for i, ch in enumerate(text):
             if ch == "(":
-                parent.append(last[depth])
                 depth += 1
-                last[depth] = len(parent)
             elif ch == ")":
                 if not depth:
                     raise ValueError(f"unmatched ')' at position {i}")
@@ -116,41 +130,46 @@ class OrderedTree:
                 raise ValueError(f"invalid character {ch!r} at position {i}")
         if depth:
             raise ValueError("unmatched '(' at end of input")
-        return cls._built(parent)
+        return cls._built(text)
 
     def __repr__(self) -> str:
-        return f"OrderedTree.from_parens({self.to_parens()!r})"
+        return f"OrderedTree.from_parens({self.parens!r})"
 
 
+_PAREN_FOR_STEP = str.maketrans("UD", "()")
 _STEP_FOR_PAREN = str.maketrans("()", "UD")
 
 
 def glove_to_tree(p: DyckPath) -> OrderedTree:
     """Tree whose traversal spells the given Dyck path."""
-    parent: list[int] = []
-    last = [0] * (len(p.steps) // 2 + 1)  # node opened last at each height
-    height = 0
-    for step in p.steps:
-        if step == "U":
-            parent.append(last[height])
-            height += 1
-            last[height] = len(parent)
-        else:
-            height -= 1
-    return OrderedTree._built(parent)
+    return OrderedTree._built(p.steps.translate(_PAREN_FOR_STEP))
 
 
 def glove_to_dyck(t: OrderedTree) -> DyckPath:
     """Dyck path spelled by traversing the tree, inverse of glove_to_tree."""
-    # the parentheses form of a valid tree is balanced, so the text is a Dyck path
-    return DyckPath._built(t.to_parens().translate(_STEP_FOR_PAREN))
+    # the text of a valid tree is balanced, so it spells a Dyck path
+    return DyckPath._built(t.parens.translate(_STEP_FOR_PAREN))
 
 
-# leaf-distance parities below a node as a mask: 1 even, 2 odd, 3 both;
-# one more edge on top swaps the two bits
-_EVEN, _ODD, _MIXED = 1, 2, 3
-_ONE_EDGE_UP = (0, _ODD, _EVEN, _MIXED)
-_LETTER_FOR_CODE = bytes.maketrans(bytes((_EVEN, _ODD)), b"KB")
+# the "(" at index i enters a node at depth i + 1 minus an even number, so
+# marking the opens at odd indices marks the nodes at even depth; a leaf
+# is "()" at odd depth and "[)" at even depth
+_MARK_OPEN = bytes.maketrans(b"(", b"[")
+_ODD_LEAF, _EVEN_LEAF = b"()", b"[)"
+# an edge's parity is its leaves' depth minus its lower node's depth, so
+# the blue edges are the opens marked the other way from the leaves
+_LETTER_UNDER_ODD_LEAVES = bytes.maketrans(b"([", b"KB")
+_LETTER_UNDER_EVEN_LEAVES = bytes.maketrans(b"([", b"BK")
+
+
+def _pure_letters(marked: bytes) -> bytes | None:
+    """The B/K letters of a marked text starting at an even index, if its
+    leaves all sit at one depth parity; None if they do not."""
+    odd = _ODD_LEAF in marked
+    if odd and _EVEN_LEAF in marked:
+        return None
+    table = _LETTER_UNDER_ODD_LEAVES if odd else _LETTER_UNDER_EVEN_LEAVES
+    return marked.translate(table, b")")
 
 
 def color_edges(t: OrderedTree) -> str:
@@ -161,22 +180,27 @@ def color_edges(t: OrderedTree) -> str:
     rules never collide.  Raises IllDefinedParity at the first edge (in
     preorder) whose parity is not well defined.
     """
-    parent = t.parent
-    mask = [0] * t.node_count
-    # children follow their parent in preorder, so this sees each node
-    # after all of its descendants; a node still at 0 is a leaf
-    for v in range(len(parent), 0, -1):
-        below = mask[v] or _EVEN
-        mask[v] = below
-        mask[parent[v - 1]] |= _ONE_EDGE_UP[below]
-    codes = bytes(mask[1:])  # edge i's code is mask[i + 1]
-    mixed = codes.find(_MIXED)
-    if mixed >= 0:
-        raise IllDefinedParity(mixed)
+    text = t.parens.encode("ascii")
+    marked = bytearray(text)
+    marked[1::2] = text[1::2].translate(_MARK_OPEN)
+    letters = _pure_letters(marked)
+    if letters is None:
+        # an edge's parity depends only on the leaves below it, so each
+        # root subtree is colored on its own; an edge's ancestors hold all
+        # of its leaves and come before it, so the first edge with both
+        # parities is a root edge, entered by the "(" at an even index
+        cuts = _ground_points(t.parens.translate(_STEP_FOR_PAREN))
+        parts = []
+        for start, end in zip(cuts, cuts[1:]):
+            part = _pure_letters(marked[start:end])
+            if part is None:
+                raise IllDefinedParity(start // 2)
+            parts.append(part)
+        letters = b"".join(parts)
     # a blue edge's lower node is never a leaf, so the next edge in
     # preorder is its first child edge, of even parity: every B is
     # followed by a K that the red rule turns into an R
-    return codes.translate(_LETTER_FOR_CODE).replace(b"BK", b"BR").decode("ascii")
+    return letters.replace(b"BK", b"BR").decode("ascii")
 
 
 _NOT_A_COLOR = re.compile("[^BRK]")
@@ -194,6 +218,9 @@ def _check_letters(t: OrderedTree, letters: str) -> None:
         )
 
 
+_OPEN_FOR_LETTER = str.maketrans("BRK", "(((")
+
+
 def relocate_reds(t: OrderedTree, letters: str) -> tuple[OrderedTree, str]:
     """Move each red edge to the rightmost slot under its parent node.
 
@@ -204,27 +231,36 @@ def relocate_reds(t: OrderedTree, letters: str) -> tuple[OrderedTree, str]:
     preserved, with colors following their edges.  Returns the
     renumbered tree and its letters in the new preorder.
 
-    One preorder pass: a red node emits nothing, its children hang where
-    it would have, and it joins there as a leaf after its parent's subtree.
+    One pass over the text writes the relocated tree with its letters in
+    place of its opens.  A red node writes nothing, so its children hang
+    where it would have; it is written as a leaf "R)" when its parent
+    closes.  Each stack entry is a node's red children times two, plus
+    one if the node itself is red.
     """
     _check_letters(t, letters)
-    parent: list[int] = []
-    moved: list[str] = []
-    attach = [0] * t.node_count  # new node each original node's children hang from
-    waiting = [-1]  # the parent of each red edge not yet emitted, in preorder
-    for v, (p, letter) in enumerate(zip(t.parent, letters), 1):
-        while waiting[-1] > p:
-            parent.append(attach[waiting.pop()])
-            moved.append("R")
-        if letter == "R":
-            waiting.append(p)
-            attach[v] = attach[p]
+    out: list[str] = []
+    emit = out.append
+    stack = [0]
+    colors = iter(letters)
+    for ch in t.parens:
+        if ch == "(":
+            letter = next(colors)
+            if letter == "R":
+                stack.append(1)
+            else:
+                stack.append(0)
+                emit(letter)
         else:
-            parent.append(attach[p])
-            moved.append(letter)
-            attach[v] = len(parent)
-    parent.extend(attach[u] for u in reversed(waiting[1:]))
-    return OrderedTree._built(parent), "".join(moved) + "R" * (len(waiting) - 1)
+            entry = stack.pop()
+            emit("R)" * (entry >> 1))
+            if entry & 1:
+                stack[-1] += 2
+            else:
+                emit(")")
+    emit("R)" * (stack[0] >> 1))
+    written = "".join(out)
+    relocated = OrderedTree._built(written.translate(_OPEN_FOR_LETTER))
+    return relocated, written.replace(")", "")
 
 
 _STEP_FOR_LETTER = str.maketrans("BRK", "UDF")

@@ -19,10 +19,15 @@ Each check compares two independent computations:
   walk against the members the full walk classifies into that class
 - ``decompose`` against ``stats`` (ground returns) and against the
   components' ``classify`` (parity alternation)
-- the tree's leaf depths against ``peaks``; ``glove_to_dyck`` and
-  ``from_parens`` against the text they invert
+- the tree's leaf depths, read off its derived parent array, against
+  ``peaks``; ``glove_to_dyck`` against the path it inverts; and the
+  parent array a tree derives from its text against the text the
+  ``OrderedTree`` constructor builds back from that array
 - the recursive, colored-tree and pair-substitution routes against each
   other, against their inverses and against the target Motzkin class
+- what each side's inverses accept, on every Motzkin path, against that
+  side's pruned class walk, and the message of psi against that of the
+  pair inverse on every path they reject
 - the statistics of each path against those of its image
 
 The maps are read from ``bijections._IMPLEMENTATION`` at call time, the
@@ -51,6 +56,7 @@ from .enumeration import (
 from .paths import (
     DyckPath,
     MotzkinPath,
+    NotInImage,
     PathStats,
     PeakParityClass,
     classify,
@@ -99,6 +105,8 @@ CHECK_NAMES = (
     "roundtrip-pairing-b",
     "inverse-roundtrip-a",
     "inverse-roundtrip-b",
+    "domain-a",
+    "domain-b",
     "split-concat",
     "stat-transfer-ground",
     "stat-transfer-peaks",
@@ -217,8 +225,24 @@ def _maps(side: _Side) -> tuple[Callable, ...]:
     return tuple(bijections._IMPLEMENTATION[kind] for kind in side.maps)
 
 
+def _rejection(inverse: Callable, m: MotzkinPath) -> str | None:
+    """The NotInImage message the inverse rejects m with, or None if it accepts m."""
+    try:
+        inverse(m)
+    except NotInImage as exc:
+        return str(exc)
+    return None
+
+
 def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinPath]]:
     """Check the Motzkin generators and inverses; return each side's target class."""
+    targets = {cls: list(generate(side.motzkin, n)) for cls, side in _SIDES.items()}
+    # each side's psi and pair inverse accept exactly the pruned walk's
+    # paths, and reject every other path with one message
+    domains = []
+    for cls, side in _SIDES.items():
+        _, psi, _, _, unpair = _maps(side)
+        domains.append((f"domain-{side.letter}", set(targets[cls]), (psi, unpair)))
     total = 0
     prev = None
     for m in generate(PathClass.ALL_MOTZKIN, n):
@@ -229,11 +253,19 @@ def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinP
         rec.expect(
             "parse-render-roundtrip", MotzkinPath.from_text(m.render()) == m, n, m
         )
+        for name, members, inverses in domains:
+            try:
+                verdicts = {_rejection(inverse, m) for inverse in inverses}
+            except Exception as exc:
+                rec.fail(name, f"n={n}: {m}: {exc!r}")
+                continue
+            accepted = verdicts == {None}
+            rejected_alike = len(verdicts) == 1 and None not in verdicts
+            rec.expect(name, accepted if m in members else rejected_alike, n, m)
     rec.expect_count("generator-count-motzkin", n, motzkin(n), total)
-    targets = {}
     for cls, side in _SIDES.items():
         phi, psi, _, pair, unpair = _maps(side)
-        targets[cls] = target = list(generate(side.motzkin, n))
+        target = targets[cls]
         name = side.motzkin.value.removeprefix("motzkin-")
         rec.expect_count(f"generator-count-{name}", n, side.size(n), len(target))
         for m in target:
@@ -246,6 +278,15 @@ def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinP
             except Exception as exc:
                 rec.fail("no-unexpected-errors", f"n={n}: {m}: {exc!r}")
     return targets
+
+
+def _rewrites(t: OrderedTree) -> bool:
+    """Whether the constructor writes the tree's text back from the parent
+    array derived from that text; an array it rejects is a failed case."""
+    try:
+        return OrderedTree(t.parent) == t
+    except ValueError:
+        return False
 
 
 def _check_member(
@@ -284,12 +325,7 @@ def _check_member(
         n,
         p,
     )
-    rec.expect(
-        "tree-codec-roundtrip",
-        OrderedTree.from_parens(relocated.to_parens()) == relocated,
-        n,
-        p,
-    )
+    rec.expect("tree-codec-roundtrip", _rewrites(relocated), n, p)
     return m1
 
 
@@ -323,9 +359,7 @@ def _scan_dyck(
         rec.expect("parity-alternation", alternates, n, p)
         t = glove_to_tree(p)
         rec.expect("glove-roundtrip", glove_to_dyck(t) == p, n, p)
-        rec.expect(
-            "tree-codec-roundtrip", OrderedTree.from_parens(t.to_parens()) == t, n, p
-        )
+        rec.expect("tree-codec-roundtrip", _rewrites(t), n, p)
         rec.expect(
             "leaf-peak-transfer", t.leaf_depths() == [h for _, h in peaks(p)], n, p
         )

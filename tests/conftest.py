@@ -1,6 +1,8 @@
 """Shared helpers and hypothesis strategies."""
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from peakparity import (
@@ -17,6 +19,24 @@ def d(text: str) -> DyckPath:
 
 def m(text: str) -> MotzkinPath:
     return MotzkinPath.from_text(text)
+
+
+def seeded_motzkin(rng: random.Random, length: int, ground_flats: bool) -> str:
+    """A random Motzkin walk of the given length; each step is any that can finish."""
+    steps, level = [], 0
+    for left in range(length - 1, -1, -1):
+        options = []
+        if left >= level + 1:
+            options.append("U")
+        if left >= level and (ground_flats or level):
+            options.append("F")
+        # a return to ground with one step left would need a ground flat
+        if level and (ground_flats or level > 1 or left != 1):
+            options.append("D")
+        step = rng.choice(options)
+        steps.append(step)
+        level += {"U": 1, "F": 0, "D": -1}[step]
+    return "".join(steps)
 
 
 @st.composite

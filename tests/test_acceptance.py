@@ -243,5 +243,5 @@ def test_criterion_9_verify_command():
         )
         elapsed = time.monotonic() - start
         assert result.returncode == 0
-        assert "verify: 35/35 checks passed for n = 0..12" in result.stdout
+        assert "verify: 37/37 checks passed for n = 0..12" in result.stdout
         assert elapsed < 300.0

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import d, even_dyck_paths, m, motzkin_paths, odd_dyck_paths
+from conftest import (
+    d,
+    even_dyck_paths,
+    m,
+    motzkin_paths,
+    odd_dyck_paths,
+    seeded_motzkin,
+)
 from peakparity import (
     DyckPath,
     MapKind,
@@ -88,24 +95,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except PeakParityError as exc:
         return type(exc), str(exc), vars(exc)
-
-
-def _seeded_motzkin(rng: random.Random, length: int, ground_flats: bool) -> str:
-    """A random Motzkin walk of the given length; each step is any that can finish."""
-    steps, level = [], 0
-    for left in range(length - 1, -1, -1):
-        options = []
-        if left >= level + 1:
-            options.append("U")
-        if left >= level and (ground_flats or level):
-            options.append("F")
-        # a return to ground with one step left would need a ground flat
-        if level and (ground_flats or level > 1 or left != 1):
-            options.append("D")
-        step = rng.choice(options)
-        steps.append(step)
-        level += {"U": 1, "F": 0, "D": -1}[step]
-    return "".join(steps)
 
 
 class TestRecursiveMaps:
@@ -341,9 +330,9 @@ class TestBeyondExhaustive:
         rng = random.Random(2017)
         for _ in range(3):
             n = rng.randint(2000, 5000)
-            image = MotzkinPath("F" + _seeded_motzkin(rng, n - 1, ground_flats=True))
+            image = MotzkinPath("F" + seeded_motzkin(rng, n - 1, ground_flats=True))
             self._routes_agree(psi_a(image), image, "a")
-            image = MotzkinPath(_seeded_motzkin(rng, n, ground_flats=False))
+            image = MotzkinPath(seeded_motzkin(rng, n, ground_flats=False))
             self._routes_agree(psi_b(image), image, "b")
 
     @pytest.mark.parametrize("k", [1999, 2000, 2001, 2002])
@@ -398,11 +387,11 @@ class TestAgainstRecursion:
 
     @given(st.randoms(use_true_random=False), st.integers(2, 300))
     def test_seeded_members(self, rng, n):
-        image = "F" + _seeded_motzkin(rng, n - 1, ground_flats=True)
+        image = "F" + seeded_motzkin(rng, n - 1, ground_flats=True)
         p = d(_psi_a_rec(image))
         assert psi_a(m(image)) == p
         assert phi_a(p) == m(_phi_a_rec(p.steps)) == m(image)
-        image = _seeded_motzkin(rng, n, ground_flats=False)
+        image = seeded_motzkin(rng, n, ground_flats=False)
         p = d(_psi_b_rec(image))
         assert psi_b(m(image)) == p
         assert phi_b(p) == m(_phi_b_rec(p.steps)) == m(image)

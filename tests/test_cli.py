@@ -15,8 +15,10 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from dataclasses import asdict
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -32,12 +34,24 @@ from peakparity import (
     verify,
 )
 from peakparity import bijections as bij
+from peakparity import trees
 from peakparity.bijections import WrongParityClass
+from peakparity.enumeration import motzkin
 
 # every verify check's case count at the pinned sizes, shared with the benchmark
 _VERIFY_CASES = json.loads(
     (Path(__file__).parents[1] / "bench" / "verify_cases.json").read_text()
 )
+
+
+def _expected_cases(max_n: int) -> list[tuple[str, int]]:
+    """Each check's case count: the benchmark's pins, and the two domain
+    checks added after them, with one case per Motzkin path of length <= max_n."""
+    cases = list(_VERIFY_CASES[str(max_n)].items())
+    at = [name for name, _ in cases].index("inverse-roundtrip-b") + 1
+    paths = sum(motzkin(k) for k in range(max_n + 1))
+    cases[at:at] = [("domain-a", paths), ("domain-b", paths)]
+    return cases
 
 
 def run_cli(argv, capsys):
@@ -272,6 +286,8 @@ _VERIFY_N1 = [
     ("roundtrip-pairing-b", 1, ""),
     ("inverse-roundtrip-a", 1, "n=1: F"),
     ("inverse-roundtrip-b", 1, ""),
+    ("domain-a", 2, ""),
+    ("domain-b", 2, ""),
     ("split-concat", 2, ""),
     ("stat-transfer-ground", 2, "n=1: UD"),
     ("stat-transfer-peaks", 2, "n=1: UD"),
@@ -294,9 +310,9 @@ def _verify_golden(padded: bool) -> tuple[str, str]:
             f'"cases": {cases}, "detail": "{detail}"}}\n'
         )
     plain.append(
-        "verify: 8 of 35 checks FAILED for n = 0..1\n"
+        "verify: 8 of 37 checks FAILED for n = 0..1\n"
         if padded
-        else "verify: 35/35 checks passed for n = 0..1\n"
+        else "verify: 37/37 checks passed for n = 0..1\n"
     )
     return "".join(plain), "".join(records)
 
@@ -623,9 +639,9 @@ class TestVerify:
         rc, out, _ = run_cli(["verify", "--max-n", "3"], capsys)
         assert rc == 0
         lines = out.splitlines()
-        assert sum(1 for line in lines if line.startswith("PASS ")) == 35
+        assert sum(1 for line in lines if line.startswith("PASS ")) == 37
         assert not any(line.startswith("FAIL ") for line in lines)
-        assert lines[-1] == "verify: 35/35 checks passed for n = 0..3"
+        assert lines[-1] == "verify: 37/37 checks passed for n = 0..3"
 
     def test_json_lines(self, capsys):
         rc, out, _ = run_cli(
@@ -633,13 +649,13 @@ class TestVerify:
         )
         assert rc == 0
         records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == 35
+        assert len(records) == 37
         assert all(r["passed"] for r in records)
 
     @pytest.mark.parametrize("n", sorted(_VERIFY_CASES, key=int))
     def test_case_counts_pinned(self, n):
         results = run_verification(int(n))
-        assert [(r.name, r.cases) for r in results] == list(_VERIFY_CASES[n].items())
+        assert [(r.name, r.cases) for r in results] == _expected_cases(int(n))
         assert all(r.passed for r in results)
 
 
@@ -684,7 +700,7 @@ class TestVerifyWorkers:
             other.join(timeout=10)
         assert not other.is_alive()
         assert forks == []
-        assert [(r.name, r.cases) for r in results] == list(_VERIFY_CASES["3"].items())
+        assert [(r.name, r.cases) for r in results] == _expected_cases(3)
 
     @pytest.mark.parametrize("upto", [3, 4], ids=["workers", "workers-and-caller"])
     def test_worker_error_is_raised_as_in_process(self, upto, monkeypatch, capsys):
@@ -814,11 +830,12 @@ class TestMutationSmoke:
 
 
 def _edited(fn, line: str, replacement: str):
-    """A bijections function with one line of its source replaced."""
-    source = inspect.getsource(fn)
+    """A function or method with one line of its source replaced, compiled
+    in its own module; a method's decorators are applied again."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(line) == 1
     namespace: dict = {}
-    exec(source.replace(line, replacement), vars(bij), namespace)
+    exec(source.replace(line, replacement), vars(inspect.getmodule(fn)), namespace)
     return namespace[fn.__name__]
 
 
@@ -849,16 +866,14 @@ class TestPlantedLoopDefects:
             "_psi",
             'emit("DU" if opened else "U")',
             'emit("DU")',
-            {"image-odd", "no-unexpected-errors"},
+            {"domain-a", "image-odd", "no-unexpected-errors"},
             id="psi-a-first-segment-du",
         ),
-        # verify feeds psi_b only its image class, which has no ground
-        # flat, so no check sees psi_b accept one
         pytest.param(
             "_psi",
             'raise NotInImage(f"flat step at ground level at position {len(out)}")',
             'emit("DU")',
-            set(),
+            {"domain-b"},
             id="psi-b-ground-flat-accepted",
         ),
     ]
@@ -867,5 +882,70 @@ class TestPlantedLoopDefects:
     def test_failed_checks(self, name, line, replacement, failed, monkeypatch):
         # patched before the workers fork, so every size runs the edited loop
         monkeypatch.setattr(bij, name, _edited(getattr(bij, name), line, replacement))
+        results = run_verification(6)
+        assert {r.name for r in results if not r.passed} == failed
+
+    def test_rejection_messages_must_agree(self, monkeypatch):
+        # the pair inverse still rejects every ground flat, in its own words
+        edited = _edited(bij.tirrell_b_inv, "at position", "at index")
+        monkeypatch.setitem(bij._IMPLEMENTATION, MapKind.TIRRELL_B_INV, edited)
+        results = run_verification(6)
+        assert {r.name for r in results if not r.passed} == {"domain-b"}
+
+
+class TestPlantedTreeDefects:
+    """One line of a tree pass broken, and the checks verify then fails.
+
+    The rows for the two codec passes fail ``tree-codec-roundtrip``, so
+    that check compares the array the text gives with the text the array
+    gives, not the text with itself.
+    """
+
+    ROWS = [
+        pytest.param(
+            trees.OrderedTree,
+            "parent",
+            "parent.append(last[depth])",
+            "parent.append(last[depth - 1])",
+            {"tree-codec-roundtrip", "leaf-peak-transfer", "root-edge-colors"},
+            id="parent-array-one-level-up",
+        ),
+        pytest.param(
+            trees.OrderedTree,
+            "__init__",
+            'closes.append(")" * (before - len(path)))',
+            'closes.append(")" * (before - len(path) - 1))',
+            {"tree-codec-roundtrip"},
+            id="constructor-one-close-short",
+        ),
+        pytest.param(
+            trees,
+            "relocate_reds",
+            "stack[-1] += 2",
+            'emit("R)")',
+            {"triple-agreement-even", "triple-agreement-odd"},
+            id="relocation-red-leaf-left-in-place",
+        ),
+        pytest.param(
+            trees,
+            "_pure_letters",
+            "table = _LETTER_UNDER_ODD_LEAVES if odd else _LETTER_UNDER_EVEN_LEAVES",
+            "table = _LETTER_UNDER_EVEN_LEAVES if odd else _LETTER_UNDER_ODD_LEAVES",
+            {"image-even", "image-odd", "no-unexpected-errors"},
+            id="coloring-leaf-parity-swapped",
+        ),
+    ]
+
+    @pytest.mark.parametrize("owner,name,line,replacement,failed", ROWS)
+    def test_failed_checks(self, owner, name, line, replacement, failed, monkeypatch):
+        original = vars(owner)[name]
+        edited = _edited(getattr(original, "func", original), line, replacement)
+        if isinstance(edited, cached_property):
+            edited.__set_name__(owner, name)
+        # verify and bijections bind the tree stages at import, so the edit
+        # goes wherever the original is bound, before the workers fork
+        for holder in (trees.OrderedTree, trees, verify, bij):
+            if vars(holder).get(name) is original:
+                monkeypatch.setattr(holder, name, edited)
         results = run_verification(6)
         assert {r.name for r in results if not r.passed} == failed

@@ -1,7 +1,8 @@
 """Ordered trees, the traversal correspondence, edge coloring and relocation.
 
-A tree is its preorder parent array and a coloring is one B/R/K letter per
-edge in preorder, so edge i is the edge into node i + 1.
+A tree is its parentheses text, with its preorder parent array derived
+from it, and a coloring is one B/R/K letter per edge in preorder, so edge
+i is the edge into node i + 1.
 
 The relocation semantics pinned here: a red edge moves to the rightmost
 slot under its parent node WITHOUT its subtree; the children its endpoint
@@ -11,9 +12,14 @@ child subtrees, which distinguishes this from moving whole subtrees.
 ``_relocate_oracle`` states that rule recursively on the parentheses text,
 and relocation is compared against it on every coloring of every small
 tree, not only on the colorings that color_edges produces.
+
+``_color_loop`` and ``_relocate_loop`` are the earlier passes over the
+parent array; they do not recurse, so they are the oracles on trees far
+deeper than the recursion limit.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import fields
 from itertools import product
 
@@ -21,9 +27,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import d, dyck_paths, even_dyck_paths, m, odd_dyck_paths
+from conftest import (
+    d,
+    dyck_paths,
+    even_dyck_paths,
+    m,
+    odd_dyck_paths,
+    seeded_motzkin,
+)
 from peakparity import (
     DyckPath,
+    MotzkinPath,
     OrderedTree,
     PathClass,
     classify,
@@ -35,7 +49,9 @@ from peakparity import (
     glove_to_tree,
     relocate_reds,
     tirrell_a,
+    tirrell_a_inv,
     tirrell_b,
+    tirrell_b_inv,
     walk_to_motzkin,
 )
 from peakparity.paths import peaks
@@ -128,6 +144,52 @@ def _color_oracle(t: OrderedTree) -> str:
     return "".join(letters)
 
 
+# leaf-distance parities below a node as a mask: 1 even, 2 odd, 3 both;
+# one more edge on top swaps the two bits
+_EVEN, _ODD, _MIXED = 1, 2, 3
+_ONE_EDGE_UP = (0, _ODD, _EVEN, _MIXED)
+_LETTER_FOR_CODE = bytes.maketrans(bytes((_EVEN, _ODD)), b"KB")
+
+
+def _color_loop(parent) -> str:
+    """The coloring from the leaf parities below each node, gathered in
+    one loop from the last node up to the root."""
+    mask = [0] * (len(parent) + 1)
+    # children follow their parent in preorder, so this sees each node
+    # after all of its descendants; a node still at 0 is a leaf
+    for v in range(len(parent), 0, -1):
+        below = mask[v] or _EVEN
+        mask[v] = below
+        mask[parent[v - 1]] |= _ONE_EDGE_UP[below]
+    codes = bytes(mask[1:])  # edge i's code is mask[i + 1]
+    mixed = codes.find(_MIXED)
+    if mixed >= 0:
+        raise IllDefinedParity(mixed)
+    return codes.translate(_LETTER_FOR_CODE).replace(b"BK", b"BR").decode("ascii")
+
+
+def _relocate_loop(parent, letters: str) -> tuple[list[int], str]:
+    """Relocation in one loop over the parent array: a red node emits
+    nothing, and its children attach to the new node it would have hung from."""
+    relocated: list[int] = []
+    moved: list[str] = []
+    attach = [0] * (len(parent) + 1)  # new node each original node's children hang from
+    waiting = [-1]  # the parent of each red edge not yet emitted, in preorder
+    for v, (p, letter) in enumerate(zip(parent, letters), 1):
+        while waiting[-1] > p:
+            relocated.append(attach[waiting.pop()])
+            moved.append("R")
+        if letter == "R":
+            waiting.append(p)
+            attach[v] = attach[p]
+        else:
+            relocated.append(attach[p])
+            moved.append(letter)
+            attach[v] = len(relocated)
+    relocated.extend(attach[u] for u in reversed(waiting[1:]))
+    return relocated, "".join(moved) + "R" * (len(waiting) - 1)
+
+
 class TestOrderedTree:
     def test_single_node(self):
         t = OrderedTree.from_parens("")
@@ -142,8 +204,16 @@ class TestOrderedTree:
         assert t.edge_count == 3
 
     def test_one_field(self):
-        assert [f.name for f in fields(OrderedTree)] == ["parent"]
+        assert [f.name for f in fields(OrderedTree)] == ["parens"]
         assert OrderedTree([0, 1]) == OrderedTree((0, 1))
+
+    @given(_parent_arrays())
+    def test_codec_roundtrips(self, parent):
+        # array to text in the constructor, text to array in .parent
+        t = OrderedTree(parent)
+        assert t.parent == tuple(parent)
+        assert OrderedTree(t.parent) == t
+        assert OrderedTree.from_parens(t.to_parens()).parent == t.parent
 
     def test_parens_roundtrip(self):
         for text in ["", "()", "(())()", "((())())(())"]:
@@ -280,6 +350,11 @@ class TestColorEdges:
 
     def test_single_edge(self):
         assert color_edges(glove_to_tree(d("UD"))) == "K"
+
+    def test_root_subtrees_of_both_parities(self):
+        # leaves at depths 2 and 1, but each edge sees one parity below it
+        assert color_edges(OrderedTree.from_parens("(())()")) == "BRK"
+        assert color_edges(OrderedTree.from_parens("()(())")) == "KBR"
 
     def test_mixed_parity_tree_rejected(self):
         t = glove_to_tree(d("UUDUUDDD"))
@@ -471,8 +546,53 @@ class TestWorkedExample:
         assert all(depth % 2 == 1 for depth in t.leaf_depths())
 
 
+def _seeded_members(rng: random.Random) -> list[DyckPath]:
+    """One all-odd and one all-even Dyck path of semilength 2,000 to 5,000."""
+    odd = MotzkinPath("F" + seeded_motzkin(rng, rng.randint(2000, 5000) - 1, True))
+    even = MotzkinPath(seeded_motzkin(rng, rng.randint(2000, 5000), False))
+    return [tirrell_a_inv(odd), tirrell_b_inv(even)]
+
+
+def _coloring(color, parent_or_tree):
+    """The letters, or the edge of IllDefinedParity."""
+    try:
+        return color(parent_or_tree)
+    except IllDefinedParity as exc:
+        return exc.edge
+
+
 class TestLargeTrees:
-    """Every stage is one loop, so depth and width are limited by memory."""
+    """Every stage is one pass, so depth and width are limited by memory."""
+
+    @staticmethod
+    def _agree_with_loops(t: OrderedTree, letters: str) -> None:
+        relocated, moved = _relocate_loop(t.parent, letters)
+        got = relocate_reds(t, letters)
+        assert got == (OrderedTree(relocated), moved)
+        assert got[0].parent == tuple(relocated)
+
+    @pytest.mark.parametrize("edges", [100_000, 100_001])
+    def test_chain_against_loops(self, edges):
+        t = OrderedTree(range(edges))
+        letters = color_edges(t)
+        assert letters == _color_loop(t.parent)
+        assert letters == "K" * (edges % 2) + "BR" * (edges // 2)
+        self._agree_with_loops(t, letters)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_members_against_loops(self, seed):
+        rng = random.Random(seed)
+        odd, even = (glove_to_tree(p) for p in _seeded_members(rng))
+        for t in (odd, even):
+            letters = color_edges(t)
+            assert letters == _color_loop(t.parent)
+            self._agree_with_loops(t, letters)
+            # relocation takes any coloring, not only the parity coloring
+            self._agree_with_loops(t, "".join(rng.choices("BRK", k=t.edge_count)))
+        # root subtrees of both parities color apart; under one edge they mix
+        for text in (odd.parens + even.parens, f"({odd.parens}{even.parens})"):
+            t = OrderedTree.from_parens(text)
+            assert _coloring(color_edges, t) == _coloring(_color_loop, t.parent)
 
     @pytest.mark.parametrize(
         "text,pairing,explicit",
