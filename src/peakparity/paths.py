@@ -4,15 +4,16 @@ A Dyck path is a balanced sequence of up and down steps that never dips
 below its starting level.  A Motzkin path additionally allows flat steps.
 Both hold their validated one-letter text over U, D and F in the field
 ``steps``, so paths are sliced, joined and searched as plain strings.
-Construction checks the text one step at a time, or, when it is longer
-than 64 steps, one 64-step chunk at a time, with every level of a chunk
-computed at once as a byte of one integer.  The functions here classify
-Dyck paths by the parities of their peak heights, decompose paths at
-returns to ground level, and collect the step statistics that the
-bijection maps preserve.  Classifying reads each peak's parity from its
-index: up to 64 steps with two regexes, and past that with two
-substring searches in one copy of the text whose odd-index steps are in
-lower case.
+Construction checks the letters with one deletion of U, D and F, which
+leaves only bad characters, and then the steps: one at a time, or, when
+the text is longer than 64 steps, one 64-step chunk at a time, with
+every level of a chunk computed at once as a byte of one integer.  The
+functions here classify Dyck paths by the parities of their peak
+heights, decompose paths at returns to ground level, and collect the
+step statistics that the bijection maps preserve.  Classifying reads
+each peak's parity from its index: up to 64 steps with two regexes, and
+past that with two substring searches in one copy of the text whose
+odd-index steps are in lower case.
 """
 from __future__ import annotations
 
@@ -83,10 +84,15 @@ class PeakParityClass(Enum):
     MIXED = "mixed"
 
 
+# deleting the step letters leaves only the bad characters, so the
+# deletion checks the letters and the regex runs only to name the first
 _NOT_A_STEP = re.compile("[^UDF]")
+_DELETE_STEPS = str.maketrans("", "", "UDF")
 
-# A text longer than one chunk is checked 64 steps at a time.  Each step
-# is one byte, D 0, F 1 and U 2, so the sum of a chunk's first j + 1
+# A text longer than one chunk is encoded once: one byte deletion of U, D
+# and F checks its letters, the regex only names the first bad one, and
+# the same bytes give the step codes, checked 64 steps at a time.  Each
+# step is one byte, D 0, F 1 and U 2, so the sum of a chunk's first j + 1
 # bytes is the level after its step j plus j + 1.  Read as one integer
 # with the level reached so far added to its first byte, and multiplied
 # by 0x0101...01, the chunk holds every such prefix sum in its own byte;
@@ -99,6 +105,12 @@ _STEP_CODE = bytes.maketrans(b"DFU", b"\x00\x01\x02")
 _ONES = int.from_bytes(b"\x01" * _CHUNK_STEPS, "little")
 _BIAS = int.from_bytes(bytes(range(127, 127 - _CHUNK_STEPS, -1)), "little")
 _TOP_BITS = int.from_bytes(b"\x80" * _CHUNK_STEPS, "little")
+
+
+def _bad_character(text: str) -> InvalidCharacter:
+    """The error naming the first character of text that is not a step."""
+    bad = _NOT_A_STEP.search(text)
+    return InvalidCharacter(bad.start(), bad.group())
 
 
 def _check_steps(text: str, allow_flat: bool) -> None:
@@ -118,14 +130,18 @@ def _check_steps(text: str, allow_flat: bool) -> None:
 
 
 def _check_chunks(text: str, allow_flat: bool) -> None:
-    """_check_steps with one level scan per chunk of 64 steps instead of per step."""
+    """The letter check, then _check_steps with one level scan per chunk of
+    64 steps instead of per step."""
+    # a character outside ASCII encodes as "?", which the deletion leaves too
+    steps = text.encode("ascii", "replace")
+    if steps.translate(None, b"UDF"):
+        raise _bad_character(text)
     # in Dyck text the first flat is the error unless a dip comes before it
-    end = text.find("F")
+    end = steps.find(b"F")
     if allow_flat or end < 0:
-        end = len(text)
+        end = len(steps)
     # flats fill up the last chunk: they keep the level where it is
-    codes = (text[:end] + "F" * (-end % _CHUNK_STEPS)).encode("ascii")
-    codes = codes.translate(_STEP_CODE)
+    codes = steps[:end].translate(_STEP_CODE) + b"\x01" * (-end % _CHUNK_STEPS)
     level = start = 0
     while start < len(codes):
         if level >= _CHUNK_STEPS:
@@ -159,11 +175,10 @@ class _Path:
         # the first violation wins: any bad character, then steps in
         # order, then balance
         text = self.steps
-        bad = _NOT_A_STEP.search(text)
-        if bad:
-            raise InvalidCharacter(bad.start(), bad.group())
         if len(text) > _CHUNK_STEPS:
             _check_chunks(text, self.allows_flat)
+        elif text.translate(_DELETE_STEPS):
+            raise _bad_character(text)
         else:
             _check_steps(text, self.allows_flat)
 

@@ -203,7 +203,10 @@ def color_edges(t: OrderedTree) -> str:
     return letters.replace(b"BK", b"BR").decode("ascii")
 
 
+# deleting the color letters leaves only the bad ones, so the deletion
+# checks the letters and the regex runs only to name the first
 _NOT_A_COLOR = re.compile("[^BRK]")
+_DELETE_COLORS = str.maketrans("", "", "BRK")
 
 
 def _check_letters(t: OrderedTree, letters: str) -> None:
@@ -211,14 +214,14 @@ def _check_letters(t: OrderedTree, letters: str) -> None:
         raise ValueError(
             f"expected {t.edge_count} color letters, got {len(letters)}"
         )
-    bad = _NOT_A_COLOR.search(letters)
-    if bad:
+    if letters.translate(_DELETE_COLORS):
+        bad = _NOT_A_COLOR.search(letters)
         raise ValueError(
             f"invalid color letter {bad.group()!r} at position {bad.start()}"
         )
 
 
-_OPEN_FOR_LETTER = str.maketrans("BRK", "(((")
+_OPEN_FOR_LETTER = bytes.maketrans(b"BRK", b"(((")
 
 
 def relocate_reds(t: OrderedTree, letters: str) -> tuple[OrderedTree, str]:
@@ -258,9 +261,11 @@ def relocate_reds(t: OrderedTree, letters: str) -> tuple[OrderedTree, str]:
             else:
                 emit(")")
     emit("R)" * (stack[0] >> 1))
-    written = "".join(out)
-    relocated = OrderedTree._built(written.translate(_OPEN_FOR_LETTER))
-    return relocated, written.replace(")", "")
+    # on bytes, the translation and the deletion are no slower than their
+    # str forms on the shortest texts and several times faster on long ones
+    written = "".join(out).encode("ascii")
+    relocated = OrderedTree._built(written.translate(_OPEN_FOR_LETTER).decode("ascii"))
+    return relocated, written.translate(None, b")").decode("ascii")
 
 
 _STEP_FOR_LETTER = str.maketrans("BRK", "UDF")

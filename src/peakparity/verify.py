@@ -12,7 +12,9 @@ calling process, the others in forked workers, one per other usable CPU
 (every size runs in the calling process when only one CPU is usable).
 The per-size results are merged in n order, so the cases are summed and
 each check keeps the failure of the smallest failing n, exactly as one
-sequential run would report them.
+sequential run would report them.  A check that raises on a path is a
+failure of ``no-unexpected-errors`` naming n and that path, and the run
+goes on.
 
 Each check compares two independent computations:
 - generator counts against the counting formulas, and each pruned class
@@ -250,9 +252,12 @@ def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinP
         key = lex_key(m)
         rec.expect("generator-lex-order", prev is None or prev < key, n, m)
         prev = key
-        rec.expect(
-            "parse-render-roundtrip", MotzkinPath.from_text(m.render()) == m, n, m
-        )
+        try:
+            parsed = MotzkinPath.from_text(m.render())
+        except Exception as exc:
+            rec.fail("no-unexpected-errors", f"n={n}: {m}: {exc!r}")
+        else:
+            rec.expect("parse-render-roundtrip", parsed == m, n, m)
         for name, members, inverses in domains:
             try:
                 verdicts = {_rejection(inverse, m) for inverse in inverses}
@@ -329,6 +334,25 @@ def _check_member(
     return m1
 
 
+def _check_path(
+    n: int, rec: _Recorder, p: DyckPath, side: _Side | None
+) -> tuple[OrderedTree, PathStats]:
+    """Run the checks every Dyck path gets; return its tree and statistics."""
+    rec.expect("parse-render-roundtrip", DyckPath.from_text(p.render()) == p, n, p)
+    comps = decompose(p)
+    rebuilt = "".join("U" + c.steps + "D" for c in comps)
+    rec.expect("decompose-rebuild", rebuilt == p.steps, n, p)
+    st = stats(p)
+    rec.expect("ground-returns-vs-components", st.ground_returns == len(comps), n, p)
+    alternates = side is None or all(classify(c) is side.interior for c in comps)
+    rec.expect("parity-alternation", alternates, n, p)
+    t = glove_to_tree(p)
+    rec.expect("glove-roundtrip", glove_to_dyck(t) == p, n, p)
+    rec.expect("tree-codec-roundtrip", _rewrites(t), n, p)
+    rec.expect("leaf-peak-transfer", t.leaf_depths() == [h for _, h in peaks(p)], n, p)
+    return t, st
+
+
 def _scan_dyck(
     n: int, rec: _Recorder, targets: dict[PeakParityClass, list[MotzkinPath]]
 ) -> None:
@@ -344,33 +368,20 @@ def _scan_dyck(
         key = lex_key(p)
         rec.expect("generator-lex-order", prev is None or prev < key, n, p)
         prev = key
-        rec.expect("parse-render-roundtrip", DyckPath.from_text(p.render()) == p, n, p)
-        comps = decompose(p)
-        rebuilt = "".join("U" + c.steps + "D" for c in comps)
-        rec.expect("decompose-rebuild", rebuilt == p.steps, n, p)
-        st = stats(p)
-        rec.expect(
-            "ground-returns-vs-components", st.ground_returns == len(comps), n, p
-        )
-        cls = classify(p)
-        sizes[cls] += 1
-        side = _SIDES.get(cls)
-        alternates = side is None or all(classify(c) is side.interior for c in comps)
-        rec.expect("parity-alternation", alternates, n, p)
-        t = glove_to_tree(p)
-        rec.expect("glove-roundtrip", glove_to_dyck(t) == p, n, p)
-        rec.expect("tree-codec-roundtrip", _rewrites(t), n, p)
-        rec.expect(
-            "leaf-peak-transfer", t.leaf_depths() == [h for _, h in peaks(p)], n, p
-        )
-        if side is None:
-            continue
-        got = next(walks[cls], None)
-        walked = f"{side.dyck.value} yielded {got}, expected {p}"
-        rec.expect("class-generator-consistency", got == p, n, walked)
+        # a check that raises is a failure of no-unexpected-errors, which
+        # counts a case only for the members whose checks all return
         try:
-            images[cls].add(_check_member(n, rec, side, p, t, st))
-            rec.ok("no-unexpected-errors")
+            cls = classify(p)
+            sizes[cls] += 1
+            side = _SIDES.get(cls)
+            if side is not None:
+                got = next(walks[cls], None)
+                walked = f"{side.dyck.value} yielded {got}, expected {p}"
+                rec.expect("class-generator-consistency", got == p, n, walked)
+            t, st = _check_path(n, rec, p, side)
+            if side is not None:
+                images[cls].add(_check_member(n, rec, side, p, t, st))
+                rec.ok("no-unexpected-errors")
         except Exception as exc:
             rec.fail("no-unexpected-errors", f"n={n}: {p}: {exc!r}")
     rec.expect_count("generator-count-dyck", n, catalan(n), total)

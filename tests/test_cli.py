@@ -4,8 +4,9 @@ Exit code contract: 0 success, 1 for domain or validation failures
 (including a failed verification run), 2 for malformed command lines.
 The mutation tests at the bottom patch one entry of the map table at a
 time and require the verify subcommand to catch every single one; the
-planted-defect tests after them break one line of the phi or psi loop
-and pin the exact set of checks that fail.
+planted-defect tests after them break one line of the phi or psi loop,
+one table of a construction check or one line of a tree pass, and pin
+the exact set of checks that fail.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from peakparity import (
     verify,
 )
 from peakparity import bijections as bij
-from peakparity import trees
+from peakparity import paths, trees
 from peakparity.bijections import WrongParityClass
 from peakparity.enumeration import motzkin
 
@@ -658,6 +659,35 @@ class TestVerify:
         assert [(r.name, r.cases) for r in results] == _expected_cases(int(n))
         assert all(r.passed for r in results)
 
+    def test_raising_path_check_is_a_failure(self, monkeypatch):
+        # a mixed path, so no class member's checks are skipped
+        stats = verify.stats
+
+        def failing(path):
+            if isinstance(path, DyckPath) and path.steps == "UDUUDD":
+                raise RuntimeError("planted")
+            return stats(path)
+
+        cases = {r.name: r.cases for r in run_verification(5)}
+        monkeypatch.setattr(verify, "stats", failing)
+        results = run_verification(5)
+        failed = [r for r in results if not r.passed]
+        assert [(r.name, r.detail) for r in failed] == [
+            ("no-unexpected-errors", "n=3: UDUUDD: RuntimeError('planted')")
+        ]
+        # the failure is one case more, and the checks after stats never ran
+        cases["no-unexpected-errors"] += 1
+        skipped = (
+            "ground-returns-vs-components",
+            "parity-alternation",
+            "glove-roundtrip",
+            "tree-codec-roundtrip",
+            "leaf-peak-transfer",
+        )
+        for name in skipped:
+            cases[name] -= 1
+        assert [(r.name, r.cases) for r in results] == list(cases.items())
+
 
 class TestVerifyWorkers:
     """Sizes below max_n run in forked workers, one per other usable CPU;
@@ -704,15 +734,17 @@ class TestVerifyWorkers:
 
     @pytest.mark.parametrize("upto", [3, 4], ids=["workers", "workers-and-caller"])
     def test_worker_error_is_raised_as_in_process(self, upto, monkeypatch, capsys):
-        glove_to_tree = verify.glove_to_tree
+        # a raising path check is a failed case, so the error is planted in
+        # the walk's order check, which runs outside the path checks
+        lex_key = verify.lex_key
 
         def failing(p):
             # the first path of each n differs in class: UD, UUDD, UUUDDD
-            if 0 < len(p) <= 2 * upto:
+            if isinstance(p, DyckPath) and 0 < len(p) <= 2 * upto:
                 raise WrongParityClass(classify(p), PeakParityClass.MIXED)
-            return glove_to_tree(p)
+            return lex_key(p)
 
-        monkeypatch.setattr(verify, "glove_to_tree", failing)
+        monkeypatch.setattr(verify, "lex_key", failing)
         raised, printed = {}, {}
         for cpus in (1, 3):
             self._forks(monkeypatch, cpus)
@@ -891,6 +923,28 @@ class TestPlantedLoopDefects:
         monkeypatch.setitem(bij._IMPLEMENTATION, MapKind.TIRRELL_B_INV, edited)
         results = run_verification(6)
         assert {r.name for r in results if not r.passed} == {"domain-b"}
+
+
+class TestPlantedCheckDefects:
+    """One table of the construction checks built wrong, and the checks
+    verify then fails.  verify's paths are all short, so only the table of
+    the short-text letter check reaches them."""
+
+    ROWS = [
+        pytest.param(
+            "_DELETE_STEPS",
+            str.maketrans("", "", "UD"),
+            {"image-even", "image-odd", "no-unexpected-errors"},
+            id="short-deletion-without-flat",
+        ),
+    ]
+
+    @pytest.mark.parametrize("name,table,failed", ROWS)
+    def test_failed_checks(self, name, table, failed, monkeypatch):
+        # every flat is then a bad letter that the regex cannot name
+        monkeypatch.setattr(paths, name, table)
+        results = run_verification(6)
+        assert {r.name for r in results if not r.passed} == failed
 
 
 class TestPlantedTreeDefects:

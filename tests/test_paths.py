@@ -10,10 +10,13 @@ Core behaviors pinned here:
   come back from a verify worker process
 - the chunk scan that checks texts longer than 64 steps raises exactly
   what the step loop raises, on any length
+- the letter checks, a deletion that only calls a regex to name the
+  first bad letter, raise exactly what a regex over every letter raised
 """
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -45,7 +48,13 @@ from peakparity.paths import (
     split_at_ground_downs,
     split_at_ground_flats,
 )
-from peakparity.trees import IllDefinedParity, InvalidMotzkinOutput
+from peakparity.trees import (
+    IllDefinedParity,
+    InvalidMotzkinOutput,
+    glove_to_tree,
+    relocate_reds,
+    walk_to_motzkin,
+)
 
 
 class TestParseRender:
@@ -253,6 +262,108 @@ class TestChunkScan:
     def test_long_valid_paths(self, k):
         assert DyckPath("U" * k + "D" * k).semilength == k
         assert len(MotzkinPath("F" * k + "U" * k + "F" + "D" * k)) == 3 * k + 1
+
+
+# the letter checks as they were before the deletions: one regex over
+# every letter, then, for a path, the step loop
+_ANY_BAD_STEP = re.compile("[^UDF]")
+_ANY_BAD_COLOR = re.compile("[^BRK]")
+
+
+def _regex_check(text: str, allow_flat: bool) -> None:
+    bad = _ANY_BAD_STEP.search(text)
+    if bad:
+        raise InvalidCharacter(bad.start(), bad.group())
+    _check_steps(text, allow_flat)
+
+
+def _regex_letters(t, letters: str) -> None:
+    if len(letters) != t.edge_count:
+        raise ValueError(
+            f"expected {t.edge_count} color letters, got {len(letters)}"
+        )
+    bad = _ANY_BAD_COLOR.search(letters)
+    if bad:
+        raise ValueError(
+            f"invalid color letter {bad.group()!r} at position {bad.start()}"
+        )
+
+
+def _value_error(fn, *args):
+    """The message of the ValueError a call raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def lettered_texts(draw) -> str:
+    """Texts of 0-200 characters: a path or a run-built text over U, D and
+    F with up to three bad characters set in it, ASCII ones or the
+    non-ASCII é."""
+    text = draw(
+        st.one_of(
+            step_texts(),
+            dyck_paths(100).map(str),
+            motzkin_paths(200).map(str),
+        )
+    )[:199]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("xdu é")) + text[at + 1 :]
+    return text
+
+
+_HALF = 50_000
+# 100,000-letter texts with the bad letter first, last and in the middle
+_LONG_BAD = {
+    "first": "x" + "U" * (_HALF - 1) + "D" * _HALF,
+    "last": "U" * _HALF + "D" * (_HALF - 1) + "x",
+    "non-ascii-middle": "U" * _HALF + "é" + "D" * (_HALF - 1),
+    "after-a-dip": "D" + "F" * (2 * _HALF - 2) + "u",
+}
+
+
+def _coloring(edges: int, where: str) -> str:
+    """A coloring of a chain with one bad letter where asked, or none."""
+    flats, pairs = "K" * edges, "BR" * (edges // 2) + "K" * (edges % 2)
+    middle = edges // 2
+    return {
+        "first": "x" + flats[1:],
+        "last": flats[:-1] + "k",
+        "non-ascii-middle": pairs[:middle] + "é" + pairs[middle + 1 :],
+        "none": pairs,
+    }[where]
+
+
+class TestLetterCheck:
+    """Construction checks the letters with one deletion and runs a regex
+    only to name the first bad one; it must raise what a regex over every
+    letter, then the step loop, raised.  So must the color letter checks."""
+
+    @given(lettered_texts())
+    def test_constructors_against_regex(self, text):
+        assert _error(DyckPath, text) == _error(_regex_check, text, False)
+        assert _error(MotzkinPath, text) == _error(_regex_check, text, True)
+
+    @pytest.mark.parametrize("text", _LONG_BAD.values(), ids=_LONG_BAD)
+    def test_long_texts_against_regex(self, text):
+        for cls, allow_flat in ((DyckPath, False), (MotzkinPath, True)):
+            want = _error(_regex_check, text, allow_flat)
+            assert want[0] is InvalidCharacter
+            assert _error(cls, text) == want
+
+    @pytest.mark.parametrize("edges", [1, 10, 64, 65, 100_000])
+    @pytest.mark.parametrize("where", ["first", "last", "non-ascii-middle", "none"])
+    def test_color_letters_against_regex(self, edges, where):
+        t = glove_to_tree(DyckPath("U" * edges + "D" * edges))
+        letters = _coloring(edges, where)
+        want = _value_error(_regex_letters, t, letters)
+        assert (want is None) == (where == "none")
+        assert _value_error(relocate_reds, t, letters) == want
+        assert _value_error(walk_to_motzkin, t, letters) == want
 
 
 class TestMotzkinPath:
