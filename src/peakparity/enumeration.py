@@ -52,7 +52,11 @@ def lex_key(path: Union[DyckPath, MotzkinPath]) -> tuple[int, ...]:
 
 
 def _balanced(
-    total: int, flat_from: int | None = None, peak_parity: int | None = None
+    total: int,
+    flat_from: int | None = None,
+    peak_parity: int | None = None,
+    start: str = "",
+    stop: int | None = None,
 ) -> Iterator[str]:
     """Nonnegative balanced step texts of the given length, in lex order.
 
@@ -60,6 +64,11 @@ def _balanced(
     a U closes a peak at the parity of the prefix length, which must then
     equal peak_parity, if set.  Every prefix the walk visits is extended
     by some text it yields.
+
+    The walk resumes from start, a prefix it visits, and yields the texts
+    that extend it.  With stop, it yields the prefixes of that length in
+    place of extending them, so resuming from each of those in turn
+    yields the whole walk.
     """
     # depth first, and the last push is popped first, so pushing D, F, U
     # yields U < F < D.  A child is pushed only if some text extends it.
@@ -74,11 +83,13 @@ def _balanced(
     if dead_return is not None and dead_return < total:
         down_from[dead_return + 1] = 2
     up_top = [h + 2 * (h % 2 == peak_parity) for h in range(total + 1)]
-    stack = [("", 0)]
+    # a prefix is yielded once at most this many steps remain
+    done = 0 if stop is None else max(total - stop, 0)
+    stack = [(start, start.count("U") - start.count("D"))]
     while stack:
         prefix, level = stack.pop()
         remaining = total - len(prefix)
-        if remaining == 0:
+        if remaining <= done:
             yield prefix
             continue
         if level >= down_from[remaining] and (
@@ -89,6 +100,32 @@ def _balanced(
             stack.append((prefix + "F", level))
         if remaining - 2 >= up_top[level]:
             stack.append((prefix + "U", level + 1))
+
+
+# the peak parity each Dyck class's walk prunes to
+_PEAK_PARITY = {
+    PathClass.ALL_DYCK: None,
+    PathClass.DYCK_ALL_ODD: 1,
+    PathClass.DYCK_ALL_EVEN: 0,
+}
+
+
+def _dyck_texts(
+    path_class: PathClass, n: int, start: str = "", stop: int | None = None
+) -> Iterator[str]:
+    """The step texts of a Dyck class at semilength n that begin with
+    start, in lex order; with stop, their prefixes of that length instead.
+
+    The class's walk resumes from start only if its own walk stopped at
+    that length yields start, so a start it never visits gives no text.
+    """
+    parity = _PEAK_PARITY[path_class]
+    if parity == 1 and n == 0:
+        # the empty path counts as all-even
+        return iter(())
+    if start and start not in _balanced(2 * n, peak_parity=parity, stop=len(start)):
+        return iter(())
+    return _balanced(2 * n, peak_parity=parity, start=start, stop=stop)
 
 
 def generate(path_class: PathClass, n: int) -> Iterator[Union[DyckPath, MotzkinPath]]:
@@ -104,18 +141,13 @@ def generate(path_class: PathClass, n: int) -> Iterator[Union[DyckPath, MotzkinP
         return (p for p in dyck if classify(p) is PeakParityClass.MIXED)
     if path_class is PathClass.MOTZKIN_START_FLAT:
         # no path of length 0 starts with a flat
-        texts = _balanced(n - 1, flat_from=0) if n else ()
-        return (MotzkinPath._built("F" + s) for s in texts)
+        texts = _balanced(n, flat_from=0, start="F") if n else ()
+        return map(MotzkinPath._built, texts)
     if path_class is PathClass.ALL_MOTZKIN:
         return map(MotzkinPath._built, _balanced(n, flat_from=0))
     if path_class is PathClass.MOTZKIN_NO_GROUND_FLAT:
         return map(MotzkinPath._built, _balanced(n, flat_from=1))
-    if path_class is PathClass.DYCK_ALL_ODD:
-        # the empty path counts as all-even
-        return map(DyckPath._built, _balanced(2 * n, peak_parity=1) if n else ())
-    if path_class is PathClass.DYCK_ALL_EVEN:
-        return map(DyckPath._built, _balanced(2 * n, peak_parity=0))
-    return map(DyckPath._built, _balanced(2 * n))
+    return map(DyckPath._built, _dyck_texts(path_class, n))
 
 
 _CATALAN: list[int] = [1]

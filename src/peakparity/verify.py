@@ -2,19 +2,23 @@
 
 Each named check accumulates cases across all sizes 0..max_n and reports
 pass or fail with the first failing case.  For each n one scan walks the
-Motzkin paths and keeps the two target classes; then one pass over the
+Motzkin paths and keeps the two target classes; then a pass over the
 Dyck paths runs every per-path check and, on each all-odd or all-even
 path, that side's checks against the same tree and statistics.  What
 differs between the two sides lives in one table, ``_SIDES``.
 
-The sizes are independent, so they run side by side: the largest in the
-calling process, the others in forked workers, one per other usable CPU
-(every size runs in the calling process when only one CPU is usable).
-The per-size results are merged in n order, so the cases are summed and
-each check keeps the failure of the smallest failing n, exactly as one
-sequential run would report them.  A check that raises on a path is a
-failure of ``no-unexpected-errors`` naming n and that path, and the run
-goes on.
+From n = 8 the Dyck pass is cut into chunks, one per prefix of 6 steps
+that the walks visit; a chunk resumes the full walk and the two pruned
+class walks from its prefix.  The scans are independent, so they run
+side by side in forked workers, one per usable CPU, while the calling
+process merges each size in n order once its scans are done (all run
+in the calling process, in the same order, when only one CPU is
+usable).  The merge sums the cases, checks the walk order across chunk
+borders and each class walk against its members across chunks, and
+keeps each check's first failure in (n, lex) order, exactly as one
+sequential scan of each size would report them.  A check that raises on
+a path is a failure of ``no-unexpected-errors`` naming n and that path,
+and the run goes on.
 
 Each check compares two independent computations:
 - generator counts against the counting formulas, and each pruned class
@@ -43,12 +47,13 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import bijections
 from .bijections import MapKind
 from .enumeration import (
     PathClass,
+    _dyck_texts,
     catalan,
     generate,
     lex_key,
@@ -75,6 +80,11 @@ from .trees import (
     glove_to_tree,
     relocate_reds,
 )
+
+# sizes from this semilength up are scanned in chunks, one per walk
+# prefix of this many steps
+_SPLIT_FROM = 8
+_PREFIX_STEPS = 6
 
 CHECK_NAMES = (
     "generator-lex-order",
@@ -236,8 +246,10 @@ def _rejection(inverse: Callable, m: MotzkinPath) -> str | None:
     return None
 
 
-def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinPath]]:
-    """Check the Motzkin generators and inverses; return each side's target class."""
+def _scan_motzkin(n: int) -> tuple[list[CheckResult], dict[PeakParityClass, list[str]]]:
+    """Check the Motzkin generators and inverses at size n; return the
+    results and each side's target class as texts."""
+    rec = _Recorder()
     targets = {cls: list(generate(side.motzkin, n)) for cls, side in _SIDES.items()}
     # each side's psi and pair inverse accept exactly the pruned walk's
     # paths, and reject every other path with one message
@@ -282,7 +294,7 @@ def _scan_motzkin(n: int, rec: _Recorder) -> dict[PeakParityClass, list[MotzkinP
                 rec.ok("no-unexpected-errors")
             except Exception as exc:
                 rec.fail("no-unexpected-errors", f"n={n}: {m}: {exc!r}")
-    return targets
+    return rec.results(), {cls: [m.steps for m in ms] for cls, ms in targets.items()}
 
 
 def _rewrites(t: OrderedTree) -> bool:
@@ -353,20 +365,70 @@ def _check_path(
     return t, st
 
 
-def _scan_dyck(
-    n: int, rec: _Recorder, targets: dict[PeakParityClass, list[MotzkinPath]]
-) -> None:
-    """One pass over the Dyck paths: every per-path check, and each member's side."""
+@dataclass
+class _InStep:
+    """One pruned class walk run in step with the members the full walk
+    classifies into its class, within one chunk.  Indices count the
+    chunk's paths, so the merge can order the two sides' findings."""
+
+    members: int = 0  # members compared with the walk's next text
+    walked: int = 0  # texts the walk yielded
+    first: tuple[int, str] | None = None  # the first member's index and text
+    head: str | None = None  # the walk's first text
+    # the first member the walk's text does not match: its index, the
+    # walk's text (None once the walk has run out) and the member
+    miss: tuple[int, str | None, str] | None = None
+    extra: str | None = None  # the walk's first text past the members
+
+    def step(self, at: int, got: str | None, member: str) -> None:
+        if self.first is None:
+            self.first = (at, member)
+        if got is not None:
+            self.walked += 1
+            if self.head is None:
+                self.head = got
+        self.members += 1
+        if self.miss is None and got != member:
+            self.miss = (at, got, member)
+
+    def finish(self, walk: Iterator[str]) -> None:
+        self.extra = next(walk, None)
+        if self.extra is not None:
+            self.walked += 1 + sum(1 for _ in walk)
+            if self.head is None:
+                self.head = self.extra
+
+
+class _Chunk(NamedTuple):
+    """One chunk of a size's Dyck scan, as plain values for the merge."""
+
+    results: list[CheckResult]
+    paths: int  # the paths the full walk yielded
+    ends: tuple[tuple[int, ...], str, tuple[int, ...]] | None  # first key and path, last key
+    sizes: dict[PeakParityClass, int]
+    images: dict[PeakParityClass, set[str]]  # the members' phi images
+    walks: dict[PeakParityClass, _InStep]
+
+
+def _scan_chunk(n: int, prefix: str) -> _Chunk:
+    """Every per-path check on the Dyck paths of semilength n that begin
+    with prefix, and each member's side."""
     # the pruned class walks run in step with the full walk's members
-    walks = {cls: generate(side.dyck, n) for cls, side in _SIDES.items()}
-    images: dict[PeakParityClass, set[MotzkinPath]] = {cls: set() for cls in _SIDES}
+    walks = {cls: _dyck_texts(side.dyck, n, prefix) for cls, side in _SIDES.items()}
+    steps = {cls: _InStep() for cls in _SIDES}
+    images: dict[PeakParityClass, set[str]] = {cls: set() for cls in _SIDES}
     sizes = dict.fromkeys(PeakParityClass, 0)
-    total = 0
+    rec = _Recorder()
     prev = None
-    for p in generate(PathClass.ALL_DYCK, n):
-        total += 1
+    paths = 0
+    for paths, text in enumerate(_dyck_texts(PathClass.ALL_DYCK, n, prefix), 1):
+        p = DyckPath._built(text)
         key = lex_key(p)
-        rec.expect("generator-lex-order", prev is None or prev < key, n, p)
+        # the merge checks the order of each chunk's first path
+        if prev is None:
+            first = (key, text)
+        else:
+            rec.expect("generator-lex-order", prev < key, n, p)
         prev = key
         # a check that raises is a failure of no-unexpected-errors, which
         # counts a case only for the members whose checks all return
@@ -375,40 +437,105 @@ def _scan_dyck(
             sizes[cls] += 1
             side = _SIDES.get(cls)
             if side is not None:
-                got = next(walks[cls], None)
-                walked = f"{side.dyck.value} yielded {got}, expected {p}"
-                rec.expect("class-generator-consistency", got == p, n, walked)
+                steps[cls].step(paths, next(walks[cls], None), text)
             t, st = _check_path(n, rec, p, side)
             if side is not None:
-                images[cls].add(_check_member(n, rec, side, p, t, st))
+                images[cls].add(_check_member(n, rec, side, p, t, st).steps)
                 rec.ok("no-unexpected-errors")
         except Exception as exc:
             rec.fail("no-unexpected-errors", f"n={n}: {p}: {exc!r}")
+    for cls, step in steps.items():
+        step.finish(walks[cls])
+    ends = None if prev is None else (*first, prev)
+    return _Chunk(rec.results(), paths, ends, sizes, images, steps)
+
+
+def _merge_walks(n: int, rec: _Recorder, chunks: list[_Chunk]) -> None:
+    """Check each pruned class walk against its members over the whole
+    size, with the cases and first failure of one walk run in step.
+
+    Until the first chunk whose walk and members part, every chunk
+    matched exactly, so the whole walk and the members are in step there
+    too.  Where a chunk's walk runs out, the whole walk goes on with the
+    next chunk's first text; where it has texts to spare, the first of
+    them meets the next chunk's first member, or the end of the size.
+    """
+    cases = 0
+    found = []  # (where, detail) of each side's first failure
+    for order, (cls, side) in enumerate(_SIDES.items()):
+        steps = [c.walks[cls] for c in chunks]
+        members = sum(s.members for s in steps)
+        cases += members + (sum(s.walked for s in steps) > members)
+        k = next((k for k, s in enumerate(steps) if s.miss or s.extra is not None), None)
+        if k is None:
+            continue
+        later = steps[k + 1 :]
+        if steps[k].miss:
+            at, got, member = steps[k].miss
+            if got is None:
+                got = next((s.head for s in later if s.head is not None), None)
+            where = (k, at)
+        else:
+            got = steps[k].extra
+            firsts = [(j, s.first) for j, s in enumerate(later, k + 1) if s.first]
+            if firsts:
+                j, (at, member) = firsts[0]
+                where = (j, at)
+            else:
+                member, where = None, (len(chunks), order)
+        found.append((where, f"n={n}: {side.dyck.value} yielded {got}, expected {member}"))
+    if found:
+        rec.fail("class-generator-consistency", min(found)[1])
+        cases -= 1
+    rec.ok("class-generator-consistency", cases)
+
+
+def _merge_size(
+    n: int,
+    motzkin_scan: tuple[list[CheckResult], dict[PeakParityClass, list[str]]],
+    chunks: list[_Chunk],
+) -> list[CheckResult]:
+    """Size n's results from its scans, as one scan of the whole size gives them."""
+    rec = _Recorder()
+    results, targets = motzkin_scan
+    rec.merge(results)
+    prev = None
+    for chunk in chunks:
+        # within a chunk each path's order is checked; across chunks, here
+        if chunk.ends is not None:
+            first, path, last = chunk.ends
+            rec.expect("generator-lex-order", prev is None or prev < first, n, path)
+            prev = last
+        rec.merge(chunk.results)
+    sizes = {cls: sum(c.sizes[cls] for c in chunks) for cls in PeakParityClass}
+    total = sum(c.paths for c in chunks)
     rec.expect_count("generator-count-dyck", n, catalan(n), total)
     rec.expect_count("class-partition", n, total, sum(sizes.values()))
+    _merge_walks(n, rec, chunks)
     for cls, side in _SIDES.items():
-        extra = next(walks[cls], None)
-        if extra is not None:
-            rec.fail(
-                "class-generator-consistency",
-                f"n={n}: {side.dyck.value} yielded {extra}, expected None",
-            )
         rec.expect_count(f"counting-claim-{side.parity}", n, side.size(n), sizes[cls])
-        if images[cls] == set(targets[cls]):
+        images = set().union(*(c.images[cls] for c in chunks))
+        if images == set(targets[cls]):
             rec.ok(f"image-{side.parity}", cases=max(sizes[cls], 1))
         else:
             rec.fail(
                 f"image-{side.parity}",
-                f"n={n}: {len(images[cls])} distinct images, expected class of size "
+                f"n={n}: {len(images)} distinct images, expected class of size "
                 f"{len(targets[cls])}",
             )
-
-
-def _verify_size(n: int) -> list[CheckResult]:
-    """Every check's results at size n alone."""
-    rec = _Recorder()
-    _scan_dyck(n, rec, _scan_motzkin(n, rec))
     return rec.results()
+
+
+def _prefixes(n: int) -> list[str]:
+    """The walk prefixes that cut size n's Dyck scan into chunks, in lex order."""
+    if n < _SPLIT_FROM:
+        return [""]
+    # every prefix any of the three walks visits, so that no text of a
+    # class walk falls outside every chunk
+    walks = (PathClass.ALL_DYCK, *(side.dyck for side in _SIDES.values()))
+    found = {p for c in walks for p in _dyck_texts(c, n, stop=_PREFIX_STEPS)}
+    # all of one length, so U before D is the reverse of character order
+    return sorted(found, reverse=True)
 
 
 def _usable_cpus() -> int:
@@ -420,29 +547,45 @@ def _usable_cpus() -> int:
 def _verify_sizes(max_n: int) -> list[list[CheckResult]]:
     """Each size's results, in n order.
 
-    The largest size runs in this process.  The others, largest first,
-    run in forked workers, one per other usable CPU; a forked worker sees
-    the map table as it is here, patches included.  With one usable CPU,
-    no fork, or another thread running (a fork could copy a lock that
-    thread holds), every size runs here.
+    Each size is one Motzkin scan and its Dyck scan's chunks, one per
+    walk prefix from _prefixes.  They run in forked workers, one per
+    usable CPU, and this process merges each size, in n order, as soon
+    as its scans are done; a forked worker sees the map table as it is
+    here, patches included.  With one usable CPU, no fork, or another
+    thread running (a fork could copy a lock that thread holds), the
+    scans run here, in the same order.  Either way the first scan in
+    that order to raise raises its error.
     """
-    workers = min(_usable_cpus() - 1, max_n)
-    if workers < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [_verify_size(n) for n in range(max_n + 1)]
+    plans = [(n, _prefixes(n)) for n in range(max_n + 1)]
+    cpus = _usable_cpus()
+    if cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [
+            _merge_size(n, _scan_motzkin(n), [_scan_chunk(n, p) for p in prefixes])
+            for n, prefixes in plans
+        ]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     fork = multiprocessing.get_context("fork")
+    workers = min(cpus, sum(1 + len(prefixes) for _, prefixes in plans))
     with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        pending = {n: pool.submit(_verify_size, n) for n in reversed(range(max_n))}
+        pending = [
+            (
+                n,
+                pool.submit(_scan_motzkin, n),
+                [pool.submit(_scan_chunk, n, p) for p in prefixes],
+            )
+            for n, prefixes in plans
+        ]
         try:
-            largest = _verify_size(max_n)
-        except Exception:
-            # a run in n order raises a smaller size's error first
-            for n in range(max_n):
-                pending[n].result()
+            return [
+                _merge_size(n, motzkin_scan.result(), [c.result() for c in chunks])
+                for n, motzkin_scan, chunks in pending
+            ]
+        except BaseException:
+            # no scan after the one that raised can change the error
+            pool.shutdown(cancel_futures=True)
             raise
-        return [pending[n].result() for n in range(max_n)] + [largest]
 
 
 def run_verification(max_n: int) -> list[CheckResult]:

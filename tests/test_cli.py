@@ -35,9 +35,9 @@ from peakparity import (
     verify,
 )
 from peakparity import bijections as bij
-from peakparity import paths, trees
-from peakparity.bijections import WrongParityClass
-from peakparity.enumeration import motzkin
+from peakparity import enumeration, paths, trees
+from peakparity.enumeration import PathClass, generate, motzkin
+from peakparity.paths import NotInImage
 
 # every verify check's case count at the pinned sizes, shared with the benchmark
 _VERIFY_CASES = json.loads(
@@ -689,9 +689,47 @@ class TestVerify:
         assert [(r.name, r.cases) for r in results] == list(cases.items())
 
 
+def _one_walk_in_step(max_n: int) -> dict:
+    """The class-generator-consistency record of each pruned class walk run
+    whole, in step with the members the full walk classifies into it."""
+    cases, failures = 0, []
+    for n in range(max_n + 1):
+        walks = {cls: generate(side.dyck, n) for cls, side in verify._SIDES.items()}
+        for p in generate(PathClass.ALL_DYCK, n):
+            cls = classify(p)
+            if cls in walks:
+                got = next(walks[cls], None)
+                cases += 1
+                if got != p:
+                    failures.append(f"n={n}: {_walk_name(cls)} yielded {got}, expected {p}")
+        for cls, walk in walks.items():
+            extra = next(walk, None)
+            if extra is not None:
+                cases += 1
+                failures.append(f"n={n}: {_walk_name(cls)} yielded {extra}, expected None")
+    return {
+        "name": "class-generator-consistency",
+        "passed": not failures,
+        "cases": cases,
+        "detail": failures[0] if failures else "",
+    }
+
+
+def _walk_name(cls: PeakParityClass) -> str:
+    return verify._SIDES[cls].dyck.value
+
+
+_UP = "if remaining - 2 >= up_top[level]:"
+# a condition that holds only in one class walk, at n = 8, under one prefix
+_AT_N8 = " {2} (peak_parity == {0} and total == 16 and prefix.startswith({1!r}))"
+_UP_TOP = "up_top = [h + 2 * (h % 2 == peak_parity) for h in range(total + 1)]"
+_PEAK = 'peak_parity is None or prefix[-1] != "U" or len(prefix) % 2 == peak_parity'
+
+
 class TestVerifyWorkers:
-    """Sizes below max_n run in forked workers, one per other usable CPU;
-    the records and errors must be those of a run in this process."""
+    """Every scan runs in a forked worker, one per usable CPU; the records
+    and errors must be those of a run in this process, and, where the
+    sizes from 8 up are cut into chunks, those of one scan of each size."""
 
     @staticmethod
     def _forks(monkeypatch, cpus: int) -> list[int]:
@@ -702,7 +740,7 @@ class TestVerifyWorkers:
         return forks
 
     @pytest.mark.parametrize("mutated", [False, True], ids=["as-is", "mutated"])
-    @pytest.mark.parametrize("max_n", range(8))
+    @pytest.mark.parametrize("max_n", range(10))
     def test_workers_agree_with_in_process(self, max_n, mutated, monkeypatch):
         if mutated:
             table = bij._IMPLEMENTATION
@@ -711,12 +749,103 @@ class TestVerifyWorkers:
         for cpus in (1, 3):
             forks = self._forks(monkeypatch, cpus)
             runs[cpus] = [asdict(r) for r in run_verification(max_n)]
-            assert len(forks) == min(cpus - 1, max_n)
+            # one worker per CPU, but no more than the 2 * (max_n + 1) scans
+            assert len(forks) == (min(cpus, 2 * max_n + 2) if cpus > 1 else 0)
         assert runs[3] == runs[1]
         failed = [r for r in runs[1] if not r["passed"]]
         # phi-a fails at every n >= 1; the detail is the one from n = 1
         assert bool(failed) == (mutated and max_n > 0)
         assert all(r["detail"].startswith("n=1: ") for r in failed)
+
+    # defects of a pruned class walk; all but the first bite only at n = 8,
+    # the first size cut into chunks, and between them they make a chunk's
+    # walk part from its members in every way the merge tells apart
+    CLASS_WALK_DEFECTS = [
+        pytest.param(
+            (_UP_TOP, _UP_TOP.replace("parity)", "parity) + (peak_parity == 1)")),
+            id="odd-up-top-off-by-one",
+        ),
+        pytest.param(
+            (
+                _UP_TOP,
+                _UP_TOP.replace("parity)", "parity) + (peak_parity == 1 and total == 16)"),
+            ),
+            id="odd-up-top-off-by-one-at-n8",
+        ),
+        pytest.param(
+            (_UP, _UP[:-1] + _AT_N8.format(0, "UUUUDUDD", "and not") + ":"),
+            id="even-walk-runs-out-in-a-chunk",
+        ),
+        pytest.param(
+            (_UP, _UP[:-1] + _AT_N8.format(0, "UUDDUUD", "and not") + ":"),
+            id="even-walk-runs-out-for-good",
+        ),
+        pytest.param(
+            (_PEAK, _PEAK + _AT_N8.format(0, "UUUUDUDD", "or")),
+            id="even-walk-yields-a-stray-in-a-chunk",
+        ),
+        pytest.param(
+            (_PEAK, _PEAK + _AT_N8.format(1, "UUUUUU", "or")),
+            id="odd-walk-spares-texts-for-the-next-chunk",
+        ),
+        pytest.param(
+            (
+                _UP,
+                _UP[:-1] + _AT_N8.format(0, "UUUUDUDD", "and not") + ":",
+                _PEAK,
+                _PEAK + _AT_N8.format(0, "UUDDUUD", "or"),
+            ),
+            id="even-walk-short-in-one-chunk-long-in-another",
+        ),
+        pytest.param(
+            (
+                _PEAK,
+                _PEAK + _AT_N8.format(1, "UDUDUD", "or") + _AT_N8.format(0, "UUUUDUDD", "or"),
+            ),
+            id="both-walks-stray-even-first",
+        ),
+        pytest.param(
+            (
+                "if level >= down_from[remaining] and (",
+                "if (level >= down_from[remaining] or (peak_parity == 1 and total == 16"
+                " and prefix == 'UD')) and (",
+                _UP,
+                _UP[:-1] + " or level < 0:",
+            ),
+            id="odd-walk-dips-below-ground",
+        ),
+    ]
+
+    @pytest.mark.parametrize("edits", CLASS_WALK_DEFECTS)
+    def test_class_walk_defect_as_one_walk_finds_it(self, edits, monkeypatch):
+        # patched before the workers fork, so every scan runs the edited walk
+        monkeypatch.setattr(enumeration, "_balanced", _edited(enumeration._balanced, *edits))
+        runs = {}
+        for cpus in (1, 3):
+            self._forks(monkeypatch, cpus)
+            runs[cpus] = [asdict(r) for r in run_verification(8)]
+        assert runs[3] == runs[1]
+        failed = {r["name"] for r in runs[1] if not r["passed"]}
+        assert failed == {"class-generator-consistency"}
+        [record] = [r for r in runs[1] if r["name"] == "class-generator-consistency"]
+        assert record == _one_walk_in_step(8)
+
+    def test_lex_order_failure_at_a_chunk_border(self, monkeypatch):
+        # the first path of a chunk at n = 8 sorts before every path, so only
+        # the check across the border from the chunk before it fails
+        [first] = [p for p in generate(PathClass.ALL_DYCK, 8) if p.steps[:6] == "UUUDDD"][:1]
+        [cases] = [r.cases for r in run_verification(8) if r.name == "generator-lex-order"]
+        lex_key = verify.lex_key
+        monkeypatch.setattr(verify, "lex_key", lambda p: () if p == first else lex_key(p))
+        runs = {}
+        for cpus in (1, 3):
+            self._forks(monkeypatch, cpus)
+            runs[cpus] = [asdict(r) for r in run_verification(8)]
+        assert runs[3] == runs[1]
+        detail = f"n=8: {first}"
+        assert [r for r in runs[1] if not r["passed"]] == [
+            {"name": "generator-lex-order", "passed": False, "cases": cases, "detail": detail}
+        ]
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         forks = self._forks(monkeypatch, 3)
@@ -732,33 +861,55 @@ class TestVerifyWorkers:
         assert forks == []
         assert [(r.name, r.cases) for r in results] == _expected_cases(3)
 
-    @pytest.mark.parametrize("upto", [3, 4], ids=["workers", "workers-and-caller"])
-    def test_worker_error_is_raised_as_in_process(self, upto, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "max_n,planted,raised",
+        [
+            # the first path of each n from 1, each in a class of its own
+            pytest.param(4, ["UD", "UUDD", "UUUDDD"], "UD", id="workers"),
+            pytest.param(
+                4, ["UD", "UUDD", "UUUDDD", "UUUUDDDD"], "UD", id="largest-size-too"
+            ),
+            # in the chunks of prefix UDUUDD and UUUDDD of n = 9, and at n = 5
+            pytest.param(9, ["UDUUDDUUUUUUDDDDDD"], "UDUUDDUUUUUUDDDDDD", id="later-chunk"),
+            pytest.param(
+                9,
+                ["UDUUDDUUUUUUDDDDDD", "UUUDDDUDUDUDUDUDUD"],
+                "UUUDDDUDUDUDUDUDUD",
+                id="two-chunks",
+            ),
+            pytest.param(
+                9,
+                ["UDUUDDUUUUUUDDDDDD", "UUDUDDUDUD"],
+                "UUDUDDUDUD",
+                id="later-chunk-and-smaller-size",
+            ),
+        ],
+    )
+    def test_worker_error_is_raised_as_in_process(
+        self, max_n, planted, raised, monkeypatch, capsys
+    ):
         # a raising path check is a failed case, so the error is planted in
         # the walk's order check, which runs outside the path checks
         lex_key = verify.lex_key
 
         def failing(p):
-            # the first path of each n differs in class: UD, UUDD, UUUDDD
-            if isinstance(p, DyckPath) and 0 < len(p) <= 2 * upto:
-                raise WrongParityClass(classify(p), PeakParityClass.MIXED)
+            if isinstance(p, DyckPath) and p.steps in planted:
+                raise NotInImage(f"planted at {p}")
             return lex_key(p)
 
         monkeypatch.setattr(verify, "lex_key", failing)
-        raised, printed = {}, {}
+        argv = ["verify", "--max-n", str(max_n)]
+        outcomes = {}
         for cpus in (1, 3):
             self._forks(monkeypatch, cpus)
-            with pytest.raises(WrongParityClass) as exc:
-                run_verification(4)
-            raised[cpus] = type(exc.value), str(exc.value)
-            printed[cpus] = run_cli(["verify", "--max-n", "4"], capsys)
-        assert raised[3] == raised[1]
-        assert raised[1] == (
-            WrongParityClass,
-            "path classifies as all-odd, this map needs mixed",
-        )
-        assert printed[3] == printed[1]
-        assert printed[1] == (1, "", f"peakparity: error: {raised[1][1]}\n")
+            with pytest.raises(NotInImage) as exc:
+                run_verification(max_n)
+            outcomes[cpus] = type(exc.value), str(exc.value), run_cli(argv, capsys)
+        assert outcomes[3] == outcomes[1]
+        message = f"planted at {raised}"
+        printed = (1, "", f"peakparity: error: {message}\n")
+        assert outcomes[1] == (NotInImage, message, printed)
+
 
 def test_module_entry_point():
     result = subprocess.run(
@@ -861,13 +1012,17 @@ class TestMutationSmoke:
         assert "FAIL triple-agreement" in out
 
 
-def _edited(fn, line: str, replacement: str):
-    """A function or method with one line of its source replaced, compiled
-    in its own module; a method's decorators are applied again."""
+def _edited(fn, line: str, replacement: str, *more: str):
+    """A function or method with one line of its source replaced, and one
+    more for each further pair of lines in more, compiled in its own
+    module; a method's decorators are applied again."""
     source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(line) == 1
+    edits = [line, replacement, *more]
+    for line, replacement in zip(edits[::2], edits[1::2]):
+        assert source.count(line) == 1
+        source = source.replace(line, replacement)
     namespace: dict = {}
-    exec(source.replace(line, replacement), vars(inspect.getmodule(fn)), namespace)
+    exec(source, vars(inspect.getmodule(fn)), namespace)
     return namespace[fn.__name__]
 
 

@@ -117,25 +117,84 @@ def _walk(total: int, **walk) -> tuple[list[str], int]:
     return texts, visits
 
 
+# each walk generate runs: steps per unit of size and its pruning; the
+# start-flat class resumes the Motzkin walk from its first flat
+_WALKS = [
+    pytest.param(2, {}, id="dyck"),
+    pytest.param(2, {"peak_parity": 1}, id="odd-peaks"),
+    pytest.param(2, {"peak_parity": 0}, id="even-peaks"),
+    pytest.param(1, {"flat_from": 0}, id="motzkin"),
+    pytest.param(1, {"flat_from": 0, "start": "F"}, id="start-flat"),
+    pytest.param(1, {"flat_from": 1}, id="no-ground-flat"),
+]
+
+
+def _sizes(walk: dict) -> range:
+    """The sizes a walk is tested at: n <= 9, and n >= 1 when it starts
+    from a prefix, since no path of length 0 has one."""
+    return range(1 if walk.get("start") else 0, 10)
+
+
+def _lex(text: str) -> list[int]:
+    return ["UFD".index(c) for c in text]
+
+
 class TestGenerate:
     @pytest.mark.parametrize("path_class", list(_ORACLES), ids=lambda c: c.value)
     def test_walk_matches_oracle(self, path_class):
         for n in range(10):
             assert list(generate(path_class, n)) == _ORACLES[path_class](n), n
 
-    @pytest.mark.parametrize(
-        "unit,walk",
-        [(2, {}), (2, {"peak_parity": 1}), (2, {"peak_parity": 0})]
-        + [(1, {"flat_from": 0}), (1, {"flat_from": 1})],
-        ids=["dyck", "odd-peaks", "even-peaks", "motzkin", "no-ground-flat"],
-    )
+    @pytest.mark.parametrize("unit,walk", _WALKS)
     def test_walk_visits_only_live_prefixes(self, unit, walk):
-        # the walk visits every prefix of what it yields, so as many visits
-        # as such prefixes means it visits no prefix that cannot finish
-        for n in range(10):
-            texts, visits = _walk(unit * n, **walk)
-            live = {""} | {t[:i] for t in texts for i in range(1, len(t) + 1)}
-            assert visits == len(live), n
+        # the walk visits every prefix of what it yields from its start, so
+        # as many visits as such prefixes means it visits no prefix that
+        # cannot finish; so too when it resumes from a prefix it stopped at
+        base = walk.get("start", "")
+        for n in _sizes(walk):
+            stops = [
+                p
+                for k in (2, 6)
+                for p in enumeration._balanced(unit * n, stop=len(base) + k, **walk)
+            ]
+            for start in [base, *stops]:
+                texts, visits = _walk(unit * n, **{**walk, "start": start})
+                after = range(len(start) + 1, unit * n + 1)
+                live = {start} | {t[:i] for t in texts for i in after}
+                assert visits == len(live), (n, start)
+
+    @pytest.mark.parametrize("unit,walk", _WALKS)
+    def test_stopped_walk_resumes_to_the_whole_walk(self, unit, walk):
+        start = walk.get("start", "")
+        for n in _sizes(walk):
+            whole = list(enumeration._balanced(unit * n, **walk))
+            for k in (0, 2, 6):
+                stop = len(start) + k
+                stops = list(enumeration._balanced(unit * n, stop=stop, **walk))
+                # the live prefixes, each once, in lex order; the start is
+                # yielded even where no text extends it
+                live = {t[:stop] for t in whole} if k else {start}
+                assert stops == sorted(live, key=_lex), (n, k)
+                resumed = [
+                    t
+                    for p in stops
+                    for t in enumeration._balanced(unit * n, **{**walk, "start": p})
+                ]
+                assert resumed == whole, (n, k)
+
+    @pytest.mark.parametrize(
+        "path_class",
+        [PathClass.ALL_DYCK, PathClass.DYCK_ALL_ODD, PathClass.DYCK_ALL_EVEN],
+        ids=lambda c: c.value,
+    )
+    def test_dyck_texts_from_any_start(self, path_class):
+        # every word as a start, so also those the class walk never visits
+        for n in range(9):
+            whole = [p.steps for p in generate(path_class, n)]
+            for k in (1, 4):
+                for start in map("".join, product("UD", repeat=k)):
+                    got = list(enumeration._dyck_texts(path_class, n, start))
+                    assert got == [t for t in whole if t.startswith(start)], (n, start)
 
     def test_all_dyck_order(self):
         got = [p.render() for p in generate(PathClass.ALL_DYCK, 3)]
