@@ -97,10 +97,6 @@ class OrderedTree:
         return tuple(parent)
 
     @property
-    def node_count(self) -> int:
-        return len(self.parens) // 2 + 1
-
-    @property
     def edge_count(self) -> int:
         return len(self.parens) // 2
 
@@ -111,10 +107,6 @@ class OrderedTree:
             depth.append(depth[p] + 1)
         # in preorder a node's first child, if any, directly follows it
         return [depth[v] for v, q in enumerate((*self.parent, -1)) if q != v]
-
-    def to_parens(self) -> str:
-        """Balanced-parentheses form; the single-node tree renders as ''."""
-        return self.parens
 
     @classmethod
     def from_parens(cls, text: str) -> "OrderedTree":

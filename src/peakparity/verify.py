@@ -8,13 +8,14 @@ path, that side's checks against the same tree and statistics.  What
 differs between the two sides lives in one table, ``_SIDES``.
 
 From n = 8 the Dyck pass is cut into chunks, one per prefix of 6 steps
-that the walks visit; a chunk resumes the full walk and the two pruned
-class walks from its prefix.  The scans are independent, so they run
-side by side in forked workers, one per usable CPU, while the calling
-process merges each size in n order once its scans are done (all run
-in the calling process, in the same order, when only one CPU is
-usable).  The merge sums the cases, checks the walk order across chunk
-borders and each class walk against its members across chunks, and
+that the walks visit; a chunk resumes the full walk from its prefix and
+returns the class members it meets and the two pruned class walks' texts
+under that prefix.  The scans are independent, so they run side by side
+in forked workers, one per usable CPU, while the calling process merges
+each size in n order once its scans are done (all run in the calling
+process, in the same order, when only one CPU is usable).  The merge
+sums the cases, checks the walk order across chunk borders, runs each
+class walk, joined over the chunks, in step with the joined members, and
 keeps each check's first failure in (n, lex) order, exactly as one
 sequential scan of each size would report them.  A check that raises on
 a path is a failure of ``no-unexpected-errors`` naming n and that path,
@@ -47,7 +48,8 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from . import bijections
 from .bijections import MapKind
@@ -365,40 +367,6 @@ def _check_path(
     return t, st
 
 
-@dataclass
-class _InStep:
-    """One pruned class walk run in step with the members the full walk
-    classifies into its class, within one chunk.  Indices count the
-    chunk's paths, so the merge can order the two sides' findings."""
-
-    members: int = 0  # members compared with the walk's next text
-    walked: int = 0  # texts the walk yielded
-    first: tuple[int, str] | None = None  # the first member's index and text
-    head: str | None = None  # the walk's first text
-    # the first member the walk's text does not match: its index, the
-    # walk's text (None once the walk has run out) and the member
-    miss: tuple[int, str | None, str] | None = None
-    extra: str | None = None  # the walk's first text past the members
-
-    def step(self, at: int, got: str | None, member: str) -> None:
-        if self.first is None:
-            self.first = (at, member)
-        if got is not None:
-            self.walked += 1
-            if self.head is None:
-                self.head = got
-        self.members += 1
-        if self.miss is None and got != member:
-            self.miss = (at, got, member)
-
-    def finish(self, walk: Iterator[str]) -> None:
-        self.extra = next(walk, None)
-        if self.extra is not None:
-            self.walked += 1 + sum(1 for _ in walk)
-            if self.head is None:
-                self.head = self.extra
-
-
 class _Chunk(NamedTuple):
     """One chunk of a size's Dyck scan, as plain values for the merge."""
 
@@ -407,15 +375,15 @@ class _Chunk(NamedTuple):
     ends: tuple[tuple[int, ...], str, tuple[int, ...]] | None  # first key and path, last key
     sizes: dict[PeakParityClass, int]
     images: dict[PeakParityClass, set[str]]  # the members' phi images
-    walks: dict[PeakParityClass, _InStep]
+    walks: dict[PeakParityClass, list[str]]  # each pruned class walk's texts under the prefix
+    members: list[tuple[PeakParityClass, str]]  # the class members, in walk order
 
 
 def _scan_chunk(n: int, prefix: str) -> _Chunk:
     """Every per-path check on the Dyck paths of semilength n that begin
-    with prefix, and each member's side."""
-    # the pruned class walks run in step with the full walk's members
-    walks = {cls: _dyck_texts(side.dyck, n, prefix) for cls, side in _SIDES.items()}
-    steps = {cls: _InStep() for cls in _SIDES}
+    with prefix, each member's side, and each pruned class walk's texts."""
+    walks = {cls: list(_dyck_texts(side.dyck, n, prefix)) for cls, side in _SIDES.items()}
+    members: list[tuple[PeakParityClass, str]] = []
     images: dict[PeakParityClass, set[str]] = {cls: set() for cls in _SIDES}
     sizes = dict.fromkeys(PeakParityClass, 0)
     rec = _Recorder()
@@ -437,57 +405,30 @@ def _scan_chunk(n: int, prefix: str) -> _Chunk:
             sizes[cls] += 1
             side = _SIDES.get(cls)
             if side is not None:
-                steps[cls].step(paths, next(walks[cls], None), text)
+                members.append((cls, text))
             t, st = _check_path(n, rec, p, side)
             if side is not None:
                 images[cls].add(_check_member(n, rec, side, p, t, st).steps)
                 rec.ok("no-unexpected-errors")
         except Exception as exc:
             rec.fail("no-unexpected-errors", f"n={n}: {p}: {exc!r}")
-    for cls, step in steps.items():
-        step.finish(walks[cls])
     ends = None if prev is None else (*first, prev)
-    return _Chunk(rec.results(), paths, ends, sizes, images, steps)
+    return _Chunk(rec.results(), paths, ends, sizes, images, walks, members)
 
 
 def _merge_walks(n: int, rec: _Recorder, chunks: list[_Chunk]) -> None:
-    """Check each pruned class walk against its members over the whole
-    size, with the cases and first failure of one walk run in step.
-
-    Until the first chunk whose walk and members part, every chunk
-    matched exactly, so the whole walk and the members are in step there
-    too.  Where a chunk's walk runs out, the whole walk goes on with the
-    next chunk's first text; where it has texts to spare, the first of
-    them meets the next chunk's first member, or the end of the size.
-    """
-    cases = 0
-    found = []  # (where, detail) of each side's first failure
-    for order, (cls, side) in enumerate(_SIDES.items()):
-        steps = [c.walks[cls] for c in chunks]
-        members = sum(s.members for s in steps)
-        cases += members + (sum(s.walked for s in steps) > members)
-        k = next((k for k, s in enumerate(steps) if s.miss or s.extra is not None), None)
-        if k is None:
-            continue
-        later = steps[k + 1 :]
-        if steps[k].miss:
-            at, got, member = steps[k].miss
-            if got is None:
-                got = next((s.head for s in later if s.head is not None), None)
-            where = (k, at)
-        else:
-            got = steps[k].extra
-            firsts = [(j, s.first) for j, s in enumerate(later, k + 1) if s.first]
-            if firsts:
-                j, (at, member) = firsts[0]
-                where = (j, at)
-            else:
-                member, where = None, (len(chunks), order)
-        found.append((where, f"n={n}: {side.dyck.value} yielded {got}, expected {member}"))
-    if found:
-        rec.fail("class-generator-consistency", min(found)[1])
-        cases -= 1
-    rec.ok("class-generator-consistency", cases)
+    """Run each pruned class walk, whole, in step with the members the
+    full walk classifies into its class."""
+    walks = {cls: chain(*[c.walks[cls] for c in chunks]) for cls in _SIDES}
+    for cls, member in chain.from_iterable(c.members for c in chunks):
+        got = next(walks[cls], None)
+        walked = f"{_SIDES[cls].dyck.value} yielded {got}, expected {member}"
+        rec.expect("class-generator-consistency", got == member, n, walked)
+    for cls, walk in walks.items():
+        extra = next(walk, None)
+        if extra is not None:
+            walked = f"{_SIDES[cls].dyck.value} yielded {extra}, expected None"
+            rec.fail("class-generator-consistency", f"n={n}: {walked}")
 
 
 def _merge_size(
@@ -550,11 +491,11 @@ def _verify_sizes(max_n: int) -> list[list[CheckResult]]:
     Each size is one Motzkin scan and its Dyck scan's chunks, one per
     walk prefix from _prefixes.  They run in forked workers, one per
     usable CPU, and this process merges each size, in n order, as soon
-    as its scans are done; a forked worker sees the map table as it is
-    here, patches included.  With one usable CPU, no fork, or another
-    thread running (a fork could copy a lock that thread holds), the
-    scans run here, in the same order.  Either way the first scan in
-    that order to raise raises its error.
+    as its scans are done, then drops them; a forked worker sees the map
+    table as it is here, patches included.  With one usable CPU, no
+    fork, or another thread running (a fork could copy a lock that
+    thread holds), the scans run here, in the same order.  Either way the
+    first scan in that order to raise raises its error.
     """
     plans = [(n, _prefixes(n)) for n in range(max_n + 1)]
     cpus = _usable_cpus()
@@ -577,11 +518,13 @@ def _verify_sizes(max_n: int) -> list[list[CheckResult]]:
             )
             for n, prefixes in plans
         ]
+        merged = []
         try:
-            return [
-                _merge_size(n, motzkin_scan.result(), [c.result() for c in chunks])
-                for n, motzkin_scan, chunks in pending
-            ]
+            while pending:
+                # a merged size's futures go, and the texts they hold with them
+                n, scan, chunks = pending.pop(0)
+                merged.append(_merge_size(n, scan.result(), [c.result() for c in chunks]))
+            return merged
         except BaseException:
             # no scan after the one that raised can change the error
             pool.shutdown(cancel_futures=True)

@@ -47,6 +47,47 @@ MAX_N = 12
 ODD_COUNTS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798]  # n = 1..12
 EVEN_COUNTS = [1, 0, 1, 1, 3, 6, 15, 36, 91, 232, 603, 1585, 4213]  # n = 0..12
 
+# every check's case count in `verify --max-n 12`, in the order printed
+VERIFY_CASES_AT_MAX_N = {
+    "generator-lex-order": 315383,
+    "generator-count-dyck": 13,
+    "generator-count-motzkin": 13,
+    "generator-count-start-flat": 13,
+    "generator-count-no-ground-flat": 13,
+    "class-generator-consistency": 16147,
+    "parse-render-roundtrip": 315383,
+    "class-partition": 13,
+    "counting-claim-odd": 13,
+    "counting-claim-even": 13,
+    "decompose-rebuild": 290512,
+    "ground-returns-vs-components": 290512,
+    "parity-alternation": 290512,
+    "glove-roundtrip": 290512,
+    "tree-codec-roundtrip": 306659,
+    "leaf-peak-transfer": 290512,
+    "root-edge-colors": 16147,
+    "coloring-counts": 16147,
+    "relocation-preservation": 16147,
+    "triple-agreement-odd": 9360,
+    "triple-agreement-even": 6787,
+    "size-preservation": 16147,
+    "image-odd": 9361,
+    "image-even": 6788,
+    "roundtrip-recursive-a": 9360,
+    "roundtrip-recursive-b": 6787,
+    "roundtrip-pairing-a": 9360,
+    "roundtrip-pairing-b": 6787,
+    "inverse-roundtrip-a": 9360,
+    "inverse-roundtrip-b": 6787,
+    "domain-a": 24871,
+    "domain-b": 24871,
+    "split-concat": 16147,
+    "stat-transfer-ground": 16147,
+    "stat-transfer-peaks": 16147,
+    "no-ud-pairs": 16147,
+    "no-unexpected-errors": 32294,
+}
+
 
 @contextmanager
 def criterion(number: int, label: str):
@@ -244,4 +285,7 @@ def test_criterion_9_verify_command():
         elapsed = time.monotonic() - start
         assert result.returncode == 0
         assert "verify: 37/37 checks passed for n = 0..12" in result.stdout
+        counts = VERIFY_CASES_AT_MAX_N.items()
+        lines = [f"PASS {name} ({cases} cases)" for name, cases in counts]
+        assert result.stdout.splitlines()[:-1] == lines
         assert elapsed < 300.0

@@ -749,8 +749,10 @@ class TestVerifyWorkers:
         for cpus in (1, 3):
             forks = self._forks(monkeypatch, cpus)
             runs[cpus] = [asdict(r) for r in run_verification(max_n)]
-            # one worker per CPU, but no more than the 2 * (max_n + 1) scans
-            assert len(forks) == (min(cpus, 2 * max_n + 2) if cpus > 1 else 0)
+            # one worker per CPU, but no more than the scans: each size's
+            # Motzkin scan and its Dyck scan's chunks
+            scans = sum(1 + len(verify._prefixes(n)) for n in range(max_n + 1))
+            assert len(forks) == (min(cpus, scans) if cpus > 1 else 0)
         assert runs[3] == runs[1]
         failed = [r for r in runs[1] if not r["passed"]]
         # phi-a fails at every n >= 1; the detail is the one from n = 1
@@ -758,8 +760,10 @@ class TestVerifyWorkers:
         assert all(r["detail"].startswith("n=1: ") for r in failed)
 
     # defects of a pruned class walk; all but the first bite only at n = 8,
-    # the first size cut into chunks, and between them they make a chunk's
-    # walk part from its members in every way the merge tells apart
+    # the first size cut into chunks, where a chunk's walk runs out (for the
+    # chunk or for good), strays, spares texts for the next chunk, is short
+    # in one chunk and long in another, or dips below ground, on one side or
+    # on both
     CLASS_WALK_DEFECTS = [
         pytest.param(
             (_UP_TOP, _UP_TOP.replace("parity)", "parity) + (peak_parity == 1)")),

@@ -129,7 +129,7 @@ def _edge_parities(parens: str, edge: int) -> set[int]:
 
 def _color_oracle(t: OrderedTree) -> str:
     """The coloring one edge at a time, from parities read off the text."""
-    parens = t.to_parens()
+    parens = t.parens
     letters: list[str] = []
     for i, p in enumerate(t.parent):
         parities = _edge_parities(parens, i)
@@ -194,13 +194,13 @@ class TestOrderedTree:
     def test_single_node(self):
         t = OrderedTree.from_parens("")
         assert t.parent == ()
-        assert t.node_count == 1
+        assert t.edge_count + 1 == 1
         assert t.edge_count == 0
 
     def test_structure(self):
         t = OrderedTree.from_parens("(())()")
         assert t.parent == (0, 1, 0)
-        assert t.node_count == 4
+        assert t.edge_count + 1 == 4
         assert t.edge_count == 3
 
     def test_one_field(self):
@@ -213,11 +213,11 @@ class TestOrderedTree:
         t = OrderedTree(parent)
         assert t.parent == tuple(parent)
         assert OrderedTree(t.parent) == t
-        assert OrderedTree.from_parens(t.to_parens()).parent == t.parent
+        assert OrderedTree.from_parens(t.parens).parent == t.parent
 
     def test_parens_roundtrip(self):
         for text in ["", "()", "(())()", "((())())(())"]:
-            assert OrderedTree.from_parens(text).to_parens() == text
+            assert OrderedTree.from_parens(text).parens == text
 
     def test_unmatched_close(self):
         with pytest.raises(ValueError):
@@ -266,9 +266,9 @@ class TestOrderedTree:
 
 class TestGlove:
     def test_examples(self):
-        assert glove_to_tree(d("UUDD")).to_parens() == "(())"
-        assert glove_to_tree(d("UDUD")).to_parens() == "()()"
-        assert glove_to_tree(DyckPath()).to_parens() == ""
+        assert glove_to_tree(d("UUDD")).parens == "(())"
+        assert glove_to_tree(d("UDUD")).parens == "()()"
+        assert glove_to_tree(DyckPath()).parens == ""
 
     def test_inverse_examples(self):
         assert glove_to_dyck(OrderedTree.from_parens("(())")) == d("UUDD")
@@ -300,14 +300,14 @@ class TestGlove:
             for p in generate(PathClass.ALL_DYCK, n):
                 t = glove_to_tree(p)
                 assert glove_to_dyck(t) == p
-                assert OrderedTree.from_parens(t.to_parens()) == t
+                assert OrderedTree.from_parens(t.parens) == t
 
     def test_deeper_than_recursion_limit(self):
         text = "U" * 1500 + "D" * 1500
         t = glove_to_tree(DyckPath(text))
-        assert t.to_parens() == text.translate(_PARENS)
+        assert t.parens == text.translate(_PARENS)
         assert glove_to_dyck(t) == DyckPath(text)
-        assert t == OrderedTree.from_parens(t.to_parens())
+        assert t == OrderedTree.from_parens(t.parens)
         assert t != glove_to_tree(DyckPath("U" * 1499 + "D" * 1499))
 
 
@@ -435,7 +435,7 @@ class TestRelocateReds:
     def test_leaf_red_moves_to_rightmost(self):
         t = glove_to_tree(d("UUDUDD"))
         relocated, moved = relocate_reds(t, color_edges(t))
-        assert relocated.to_parens() == "(()())"
+        assert relocated.parens == "(()())"
         assert moved == "BKR"
 
     def test_red_with_subtree_moves_alone(self):
@@ -445,7 +445,7 @@ class TestRelocateReds:
         letters = color_edges(t)
         assert letters == "BRBR"
         relocated, moved = relocate_reds(t, letters)
-        assert relocated.to_parens() == "((())())"
+        assert relocated.parens == "((())())"
         assert moved == "BBRR"
         assert walk_to_motzkin(relocated, moved) == m("UUDD")
 
@@ -469,7 +469,7 @@ class TestRelocateReds:
                 t = OrderedTree.from_parens(parens)
                 for letters in map("".join, product("BRK", repeat=k)):
                     relocated, moved = relocate_reds(t, letters)
-                    got = (relocated.to_parens(), moved)
+                    got = (relocated.parens, moved)
                     assert got == _relocate_oracle(parens, letters), (parens, letters)
                     cases += 1
         assert cases == 11_496
@@ -481,7 +481,7 @@ class TestRelocateReds:
         letters = data.draw(st.text("BRK", min_size=len(parent), max_size=len(parent)))
         t = OrderedTree(parent)
         relocated, moved = relocate_reds(t, letters)
-        assert (relocated.to_parens(), moved) == _relocate_oracle(t.to_parens(), letters)
+        assert (relocated.parens, moved) == _relocate_oracle(t.parens, letters)
 
     def test_all_red_chain_becomes_star(self):
         # every node of the chain waits on the stack until the very end
@@ -497,7 +497,7 @@ class TestRelocateReds:
                     t = glove_to_tree(p)
                     letters = color_edges(t)
                     relocated, moved = relocate_reds(t, letters)
-                    assert relocated.node_count == t.node_count
+                    assert relocated.edge_count + 1 == t.edge_count + 1
                     assert relocated.edge_count == t.edge_count
                     assert sorted(moved) == sorted(letters)
 
@@ -537,7 +537,7 @@ class TestWorkedExample:
     def test_relocation_and_walk(self):
         t = OrderedTree.from_parens(self.PARENS)
         relocated, moved = relocate_reds(t, color_edges(t))
-        assert relocated.to_parens() == "(((()())(())()((()))())(())(((()))()))"
+        assert relocated.parens == "(((()())(())()((()))())(())(((()))()))"
         assert moved == "KBBKRBRKKBRRBRBKBRR"
         assert walk_to_motzkin(relocated, moved) == m("FUUFDUDFFUDDUDUFUDD")
 
