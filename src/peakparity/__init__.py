@@ -31,7 +31,6 @@ from .bijections import (
     tirrell_b_inv,
 )
 from .enumeration import PathClass, count_table, generate
-from .verify import run_verification
 
 __version__ = "0.1.0"
 
@@ -64,3 +63,13 @@ __all__ = [
     "tirrell_b_inv",
     "walk_to_motzkin",
 ]
+
+
+def __getattr__(name: str):
+    # verify is the largest module and only run_verification needs it, so
+    # it is imported on first use
+    if name == "run_verification":
+        from .verify import run_verification
+
+        return run_verification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

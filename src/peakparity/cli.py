@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +31,6 @@ from .paths import (
     classify,
     stats,
 )
-from .verify import run_verification
 
 _FORMATS = ("plain", "tsv", "json-lines")
 
@@ -195,16 +193,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    rows = map(asdict, count_table(args.max_n))
+    rows = (row._asdict() for row in count_table(args.max_n))
     fmt = "tsv" if args.format == "plain" else args.format
-    _write(fmt, rows, [f.name for f in fields(CountRow)])
+    _write(fmt, rows, CountRow._fields)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     sides = ("input", "output")
     # the stored statistics in field order, each derived one after its base
-    names = [f.name for f in fields(PathStats)]
+    names = list(PathStats._fields)
     names.insert(names.index("ground_flats") + 1, "ground_downs")
     names.append("peak_image")
     columns = ["map", *sides] + [f"{s}_{k}" for s in sides for k in names]
@@ -227,6 +225,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # verify, and the dataclasses behind its results, load for this command only
+    from dataclasses import asdict
+
+    from .verify import run_verification
+
     results = run_verification(args.max_n)
     failed = sum(not r.passed for r in results)
     total = len(results)

@@ -8,9 +8,8 @@ piece of code agreeing with itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .paths import (
     DyckPath,
@@ -186,8 +185,7 @@ def riordan(n: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     """Observed class sizes at one semilength next to their claimed formulas."""
 
     n: int

@@ -18,9 +18,8 @@ odd-index steps are in lower case.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 
 class PeakParityError(Exception):
@@ -164,23 +163,35 @@ def _check_chunks(text: str, allow_flat: bool) -> None:
         raise UnbalancedPath(level)
 
 
-@dataclass(frozen=True)
-class _Path:
+class _Frozen:
+    """A value type whose instances refuse assignment and deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Path(_Frozen):
     """Validated step text; instances of different subclasses never compare equal."""
 
-    steps: str = ""
+    __slots__ = ("steps",)
+    __match_args__ = ("steps",)
     allows_flat: ClassVar[bool]
 
-    def __post_init__(self):
+    def __init__(self, steps: str = ""):
         # the first violation wins: any bad character, then steps in
         # order, then balance
-        text = self.steps
-        if len(text) > _CHUNK_STEPS:
-            _check_chunks(text, self.allows_flat)
-        elif text.translate(_DELETE_STEPS):
-            raise _bad_character(text)
+        if len(steps) > _CHUNK_STEPS:
+            _check_chunks(steps, self.allows_flat)
+        elif steps.translate(_DELETE_STEPS):
+            raise _bad_character(steps)
         else:
-            _check_steps(text, self.allows_flat)
+            _check_steps(steps, self.allows_flat)
+        _set_steps(self, steps)
 
     @classmethod
     def from_text(cls, text: str):
@@ -191,8 +202,19 @@ class _Path:
         # text this package builds step by step is valid by construction;
         # skipping the check keeps it off every generated path and slice
         path = object.__new__(cls)
-        object.__setattr__(path, "steps", steps)
+        _set_steps(path, steps)
         return path
+
+    def __reduce__(self):
+        return self._built, (self.steps,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
 
     def render(self) -> str:
         return self.steps
@@ -207,6 +229,10 @@ class _Path:
         return f"{type(self).__name__}({self.steps!r})"
 
 
+# the slot's own setter, which goes round the frozen __setattr__
+_set_steps = _Path.steps.__set__
+
+
 class DyckPath(_Path):
     """Balanced up/down text that never goes below its starting level.
 
@@ -214,6 +240,7 @@ class DyckPath(_Path):
     is a well-formed path.  The empty path is allowed.
     """
 
+    __slots__ = ()
     allows_flat = False
 
     @property
@@ -225,6 +252,7 @@ class DyckPath(_Path):
 class MotzkinPath(_Path):
     """Balanced up/down/flat text that never goes below its start."""
 
+    __slots__ = ()
     allows_flat = True
 
 
@@ -305,14 +333,21 @@ def decompose(p: DyckPath) -> tuple[DyckPath, ...]:
     where each cut is a return to ground level; the Pi are returned.  The
     empty path yields the empty tuple.
     """
-    cuts = _ground_points(p.steps)
-    return tuple(
-        DyckPath._built(p.steps[a + 1 : b - 1]) for a, b in zip(cuts, cuts[1:])
-    )
+    # a scan of its own, not _ground_points, so that verify's comparison of
+    # the component count with the ground returns of stats checks one
+    # level count against another
+    text = p.steps
+    comps = []
+    level = start = 0
+    for i, ch in enumerate(text):
+        level += 1 if ch == "U" else -1
+        if not level:
+            comps.append(DyckPath._built(text[start + 1 : i]))
+            start = i + 1
+    return tuple(comps)
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     """Statistics of the steps, preserved or transported by the maps.
 
     peaks counts literal up-down factors, so the empty path has 0 here

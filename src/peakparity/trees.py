@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
-from .paths import DyckPath, MotzkinPath, PeakParityError, _ground_points
+from .paths import DyckPath, MotzkinPath, PeakParityError, _Frozen, _ground_points
 
 
 class IllDefinedParity(PeakParityError):
@@ -42,8 +41,7 @@ class InvalidMotzkinOutput(PeakParityError):
     """A colored-tree walk produced a step sequence that is not a Motzkin path."""
 
 
-@dataclass(frozen=True, init=False)
-class OrderedTree:
+class OrderedTree(_Frozen):
     """Ordered rooted tree as its balanced-parentheses text.
 
     ``OrderedTree(parent)`` builds the tree of a preorder parent array:
@@ -52,7 +50,9 @@ class OrderedTree:
     array raises ValueError naming the first index where this fails.
     """
 
-    parens: str
+    # the __dict__ holds only what cached_property stores there
+    __slots__ = ("parens", "__dict__")
+    __match_args__ = ("parens",)
 
     def __init__(self, parent: Iterable[int] = ()):
         # the ")" run before each node's "(", then the run after the last node
@@ -70,7 +70,7 @@ class OrderedTree:
             closes.append(")" * (before - len(path)))
             path.append(i + 1)
         closes.append(")" * (len(path) - 1))
-        object.__setattr__(self, "parens", "(".join(closes))
+        _set_parens(self, "(".join(closes))
 
     @classmethod
     def _built(cls, parens: str) -> "OrderedTree":
@@ -78,8 +78,19 @@ class OrderedTree:
         # is balanced by construction; skipping the check keeps it off the
         # hot path
         tree = object.__new__(cls)
-        object.__setattr__(tree, "parens", parens)
+        _set_parens(tree, parens)
         return tree
+
+    def __reduce__(self):
+        return self._built, (self.parens,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parens == other.parens
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parens)
 
     @cached_property
     def parent(self) -> tuple[int, ...]:
@@ -126,6 +137,10 @@ class OrderedTree:
 
     def __repr__(self) -> str:
         return f"OrderedTree.from_parens({self.parens!r})"
+
+
+# the slot's own setter, which goes round the frozen __setattr__
+_set_parens = OrderedTree.parens.__set__
 
 
 _PAREN_FOR_STEP = str.maketrans("UD", "()")

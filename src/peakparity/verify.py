@@ -24,7 +24,8 @@ and the run goes on.
 Each check compares two independent computations:
 - generator counts against the counting formulas, and each pruned class
   walk against the members the full walk classifies into that class
-- ``decompose`` against ``stats`` (ground returns) and against the
+- ``decompose``, which finds the returns to ground with a level count of
+  its own, against the ground returns of ``stats`` and against the
   components' ``classify`` (parity alternation)
 - the tree's leaf depths, read off its derived parent array, against
   ``peaks``; ``glove_to_dyck`` against the path it inverts; and the

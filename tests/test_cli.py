@@ -5,8 +5,8 @@ Exit code contract: 0 success, 1 for domain or validation failures
 The mutation tests at the bottom patch one entry of the map table at a
 time and require the verify subcommand to catch every single one; the
 planted-defect tests after them break one line of the phi or psi loop,
-one table of a construction check or one line of a tree pass, and pin
-the exact set of checks that fail.
+one table of a construction check, one line of a tree pass or of the
+ground-level scan, and pin the exact set of checks that fail.
 """
 from __future__ import annotations
 
@@ -1107,11 +1107,15 @@ class TestPlantedCheckDefects:
 
 
 class TestPlantedTreeDefects:
-    """One line of a tree pass broken, and the checks verify then fails.
+    """One line of a tree pass, or of the ground-level scan that the tree
+    coloring shares with the path statistics, broken, and the checks
+    verify then fails.
 
     The rows for the two codec passes fail ``tree-codec-roundtrip``, so
     that check compares the array the text gives with the text the array
-    gives, not the text with itself.
+    gives, not the text with itself.  The rows for the ground-level scan
+    fail ``ground-returns-vs-components``, so ``decompose`` finds the
+    returns to ground with a scan of its own.
     """
 
     ROWS = [
@@ -1147,6 +1151,24 @@ class TestPlantedTreeDefects:
             {"image-even", "image-odd", "no-unexpected-errors"},
             id="coloring-leaf-parity-swapped",
         ),
+        pytest.param(
+            paths,
+            "_ground_points",
+            "if level == 0:",
+            "if level == 0 and (i != 2 or i == len(text)):",
+            {"ground-returns-vs-components", "stat-transfer-ground"},
+            id="ground-scan-drops-the-return-after-two-steps",
+        ),
+        pytest.param(
+            # the image's ground statistic loses one step too, so only the
+            # comparison with decompose sees the loss
+            paths,
+            "_ground_points",
+            "if level == 0:",
+            "if level == 0 and (len(points) > 1 or i == len(text)):",
+            {"ground-returns-vs-components"},
+            id="ground-scan-drops-the-first-inner-return",
+        ),
     ]
 
     @pytest.mark.parametrize("owner,name,line,replacement,failed", ROWS)
@@ -1157,7 +1179,7 @@ class TestPlantedTreeDefects:
             edited.__set_name__(owner, name)
         # verify and bijections bind the tree stages at import, so the edit
         # goes wherever the original is bound, before the workers fork
-        for holder in (trees.OrderedTree, trees, verify, bij):
+        for holder in (paths, trees.OrderedTree, trees, verify, bij):
             if vars(holder).get(name) is original:
                 monkeypatch.setattr(holder, name, edited)
         results = run_verification(6)

@@ -7,7 +7,6 @@ has to agree with both on every row.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -263,7 +262,7 @@ class TestGenerate:
 
 class TestCountTable:
     def test_columns(self):
-        assert tuple(f.name for f in fields(enumeration.CountRow)) == (
+        assert enumeration.CountRow._fields == (
             "n",
             "catalan",
             "odd_count",
@@ -271,6 +270,13 @@ class TestCountTable:
             "even_count",
             "riordan",
             "mixed_count",
+        )
+
+    def test_fields_in_order(self):
+        # the repr names every column, in field order
+        assert repr(count_table(3)[-1]) == (
+            "CountRow(n=3, catalan=5, odd_count=2, motzkin_prev=2, "
+            "even_count=1, riordan=1, mixed_count=2)"
         )
 
     def test_rows_start_at_one(self):

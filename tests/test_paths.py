@@ -12,9 +12,13 @@ Core behaviors pinned here:
   what the step loop raises, on any length
 - the letter checks, a deletion that only calls a regex to name the
   first bad letter, raise exactly what a regex over every letter raised
+- paths are immutable values: they survive pickling and copying, refuse
+  assignment and deletion, hash alike when equal, and never equal a path
+  of the other type
 """
 from __future__ import annotations
 
+import copy
 import pickle
 import re
 
@@ -366,6 +370,41 @@ class TestLetterCheck:
         assert _value_error(walk_to_motzkin, t, letters) == want
 
 
+@pytest.mark.parametrize("path", [d("UUDUDD"), m("FUFD")], ids=repr)
+class TestPathValues:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_roundtrip(self, path, protocol):
+        back = pickle.loads(pickle.dumps(path, protocol))
+        assert type(back) is type(path)
+        assert back == path
+        assert back.steps == path.steps
+
+    def test_copies_are_equal(self, path):
+        assert copy.copy(path) == path
+        assert copy.deepcopy(path) == path
+
+    def test_assignment_raises(self, path):
+        with pytest.raises(AttributeError):
+            path.steps = ""
+        assert path.steps in ("UUDUDD", "FUFD")
+
+    def test_deletion_raises(self, path):
+        with pytest.raises(AttributeError):
+            del path.steps
+        assert path.steps in ("UUDUDD", "FUFD")
+
+    def test_equal_values_hash_equal(self, path):
+        again = type(path)(path.steps)
+        assert again is not path
+        assert again == path
+        assert hash(again) == hash(path)
+
+    def test_no_equality_across_types(self, path):
+        other = MotzkinPath if type(path) is DyckPath else DyckPath
+        assert path.__eq__(other._built(path.steps)) is NotImplemented
+        assert path != other._built(path.steps)
+
+
 class TestMotzkinPath:
     def test_flat_only(self):
         assert len(m("F")) == 1
@@ -588,6 +627,13 @@ class TestStats:
     def test_flat_above_ground_not_counted(self):
         assert stats(m("UFD")).ground_flats == 0
         assert stats(m("UFD")).ground_downs == 1
+
+    def test_fields_in_order(self):
+        # the repr names every stored statistic, in field order
+        assert repr(stats(m("FUUDDUD"))) == (
+            "PathStats(peaks=2, ground_returns=2, ground_flats=1, u_count=3, "
+            "f_count=1, uu_count=1, fu_count=1)"
+        )
 
     @given(motzkin_paths())
     def test_against_text_scan(self, path):

@@ -3,11 +3,16 @@
 ``peakparity.__all__`` holds what README documents and what the benchmark
 reaches through the package; everything else is imported from its module.
 README's ``python`` blocks are run line by line, and a line that ends in a
-comment must print as that comment says.
+comment must print as that comment says.  A fresh interpreter that imports
+the package, or converts one path through the CLI, loads neither
+``dataclasses`` nor ``verify``.
 """
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +75,33 @@ def test_benchmark_names_resolve():
         names = set(re.findall(r"\bpp\.(\w+)", text))
         assert names
         assert [name for name in sorted(names) if not hasattr(peakparity, name)] == []
+
+
+# modules only run_verification and the verify command need
+_LOADED_ON_USE = {"dataclasses", "inspect", "peakparity.verify"}
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=True
+    )
+
+
+def test_import_and_convert_leave_verify_unloaded():
+    imported = _fresh("-c", "import sys, peakparity; print(*sorted(sys.modules))")
+    assert _LOADED_ON_USE & set(imported.stdout.split()) == set()
+    # -X importtime names every module the run imports on stderr
+    args = ("-m", "peakparity", "convert", "--map", "tirrell-b", "UUDUDD")
+    converted = _fresh("-X", "importtime", *args)
+    assert converted.stdout == "UFD\n"
+    names = {line.rsplit("|", 1)[-1].strip() for line in converted.stderr.splitlines()}
+    assert "peakparity.cli" in names
+    assert _LOADED_ON_USE & names == set()
 
 
 _BLOCKS = re.findall(

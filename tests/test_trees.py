@@ -19,8 +19,9 @@ deeper than the recursion limit.
 """
 from __future__ import annotations
 
+import copy
+import pickle
 import random
-from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -204,8 +205,43 @@ class TestOrderedTree:
         assert t.edge_count == 3
 
     def test_one_field(self):
-        assert [f.name for f in fields(OrderedTree)] == ["parens"]
-        assert OrderedTree([0, 1]) == OrderedTree((0, 1))
+        t = OrderedTree([0, 1])
+        assert OrderedTree.__match_args__ == ("parens",)
+        # the parent array is derived on first use, not stored beside the text
+        assert vars(t) == {}
+        assert t == OrderedTree((0, 1))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_roundtrip_after_parent(self, protocol):
+        t = OrderedTree.from_parens("(()())()")
+        assert t.parent == (0, 1, 1, 0)
+        back = pickle.loads(pickle.dumps(t, protocol))
+        assert type(back) is OrderedTree
+        assert back == t
+        assert back.parens == t.parens
+        assert back.parent == t.parent
+
+    def test_copies_are_equal(self):
+        t = OrderedTree([0, 1, 0])
+        assert t.parent == (0, 1, 0)
+        assert copy.copy(t) == t
+        assert copy.deepcopy(t) == t
+
+    @pytest.mark.parametrize("name", ["parens", "parent"])
+    def test_assignment_and_deletion_raise(self, name):
+        t = OrderedTree.from_parens("(())")
+        with pytest.raises(AttributeError):
+            setattr(t, name, "()")
+        with pytest.raises(AttributeError):
+            delattr(t, "parens")
+        assert t.parens == "(())"
+        assert t.parent == (0, 1)
+
+    def test_equal_values_hash_equal(self):
+        built, parsed = OrderedTree([0, 1, 0]), OrderedTree.from_parens("(())()")
+        assert built == parsed
+        assert hash(built) == hash(parsed)
+        assert len({built, parsed, OrderedTree([0, 0])}) == 2
 
     @given(_parent_arrays())
     def test_codec_roundtrips(self, parent):
