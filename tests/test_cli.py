@@ -1177,8 +1177,9 @@ class TestPlantedTreeDefects:
         edited = _edited(getattr(original, "func", original), line, replacement)
         if isinstance(edited, cached_property):
             edited.__set_name__(owner, name)
-        # verify and bijections bind the tree stages at import, so the edit
-        # goes wherever the original is bound, before the workers fork
+        # the importing modules bind the tree stages and the ground-level
+        # scan at import, so the edit goes wherever the original is bound,
+        # before the workers fork
         for holder in (paths, trees.OrderedTree, trees, verify, bij):
             if vars(holder).get(name) is original:
                 monkeypatch.setattr(holder, name, edited)

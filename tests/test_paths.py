@@ -377,32 +377,24 @@ class TestPathValues:
         back = pickle.loads(pickle.dumps(path, protocol))
         assert type(back) is type(path)
         assert back == path
-        assert back.steps == path.steps
 
     def test_copies_are_equal(self, path):
         assert copy.copy(path) == path
         assert copy.deepcopy(path) == path
 
-    def test_assignment_raises(self, path):
+    def test_assignment_and_deletion_raise(self, path):
+        steps = path.steps
         with pytest.raises(AttributeError):
             path.steps = ""
-        assert path.steps in ("UUDUDD", "FUFD")
-
-    def test_deletion_raises(self, path):
         with pytest.raises(AttributeError):
             del path.steps
-        assert path.steps in ("UUDUDD", "FUFD")
+        assert path.steps == steps
 
     def test_equal_values_hash_equal(self, path):
         again = type(path)(path.steps)
         assert again is not path
         assert again == path
         assert hash(again) == hash(path)
-
-    def test_no_equality_across_types(self, path):
-        other = MotzkinPath if type(path) is DyckPath else DyckPath
-        assert path.__eq__(other._built(path.steps)) is NotImplemented
-        assert path != other._built(path.steps)
 
 
 class TestMotzkinPath:

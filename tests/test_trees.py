@@ -218,7 +218,6 @@ class TestOrderedTree:
         back = pickle.loads(pickle.dumps(t, protocol))
         assert type(back) is OrderedTree
         assert back == t
-        assert back.parens == t.parens
         assert back.parent == t.parent
 
     def test_copies_are_equal(self):
@@ -233,7 +232,7 @@ class TestOrderedTree:
         with pytest.raises(AttributeError):
             setattr(t, name, "()")
         with pytest.raises(AttributeError):
-            delattr(t, "parens")
+            delattr(t, name)
         assert t.parens == "(())"
         assert t.parent == (0, 1)
 
